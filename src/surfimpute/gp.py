@@ -11,7 +11,7 @@ covariance on every block); imputation uses the predictive one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,7 @@ import scipy.linalg
 from . import kernels
 from .errors import (
     EmptyDatasetError,
+    NoProfileElementsError,
     NotPositiveDefiniteError,
     NothingToImputeError,
 )
@@ -33,7 +34,6 @@ from .kernels import (
 )
 from .optimize import OptConfig, maximize_restarts
 from .profile import Profile, SurfaceDataset, rq, rsm, split_dataset
-from .errors import NoProfileElementsError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -47,8 +47,8 @@ Z95 = 1.959963984540054
 def chol_jittered(a: np.ndarray):
     """Lower Cholesky factor with escalating diagonal jitter.
 
-    Tries jitter 0, then 1e-10..1e-4 times the mean diagonal (or 1.0
-    if the diagonal is not positive).  Returns ``(L, jitter_added)``;
+    Tries jitter 0, then 1e-10..1e-4 times the mean diagonal (or 1.0 if
+    it is not positive) on a copy's diagonal.  Returns ``(L, jitter_added)``;
     raises NotPositiveDefiniteError when the ladder is exhausted.
     """
     a = np.asarray(a, dtype=float)
@@ -56,16 +56,47 @@ def chol_jittered(a: np.ndarray):
         raise ValueError("need a square matrix")
     dmean = float(np.mean(np.diagonal(a))) if a.size else 0.0
     scale = dmean if dmean > 0 else 1.0
-    eye = np.eye(a.shape[0])
+    work = a
     for level in JITTER_LADDER:
         jitter = level * scale
+        if jitter:
+            work = a.copy() if work is a else work
+            np.fill_diagonal(work, np.diagonal(a) + jitter)
         try:
-            return np.linalg.cholesky(a + jitter * eye if jitter else a), jitter
+            return np.linalg.cholesky(work), jitter
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefiniteError(
         f"matrix is not positive definite even with jitter {JITTER_LADDER[-1]*scale:g}"
     )
+
+
+def _gaussian_core(a: np.ndarray, y: np.ndarray):
+    """``(L, alpha, log N(y | 0, A))`` from A's jitter-ladder factor L,
+    with alpha = A^-1 y solved against that same factor."""
+    fac, _ = chol_jittered(a)
+    alpha = scipy.linalg.cho_solve((fac, True), y)
+    logdet = np.sum(np.log(np.diagonal(fac)))
+    return fac, alpha, float(-0.5 * y @ alpha - logdet - 0.5 * len(y) * LOG_2PI)
+
+
+def _inverse_lower(fac: np.ndarray) -> np.ndarray:
+    """Lower triangle of A^-1 = (L L^T)^-1 by LAPACK potri; the strict
+    upper triangle is zero, as it is in the factors chol_jittered gives."""
+    inv, info = scipy.linalg.lapack.dpotri(fac.T, lower=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"factor is singular at pivot {info}")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpotri: illegal value in argument {-info}")
+    return inv.T
+
+
+def _centered_dataset(profile: Profile):
+    """The profile's valid/missing split with the mean of the valid
+    heights subtracted, and that mean."""
+    ds = split_dataset(profile)
+    offset = float(np.mean(ds.za))
+    return replace(ds, za=ds.za - offset), offset
 
 
 def _training_matrix(dataset: SurfaceDataset, kernel, noise) -> np.ndarray:
@@ -74,15 +105,7 @@ def _training_matrix(dataset: SurfaceDataset, kernel, noise) -> np.ndarray:
 
 def log_marginal_likelihood(dataset: SurfaceDataset, kernel, noise) -> float:
     """log p(za | xa, kernel, noise) for the zero-mean GP."""
-    n = dataset.n_valid
-    a = _training_matrix(dataset, kernel, noise)
-    fac, _ = chol_jittered(a)
-    alpha = scipy.linalg.cho_solve((fac, True), dataset.za)
-    return float(
-        -0.5 * dataset.za @ alpha
-        - np.sum(np.log(np.diagonal(fac)))
-        - 0.5 * n * LOG_2PI
-    )
+    return _gaussian_core(_training_matrix(dataset, kernel, noise), dataset.za)[2]
 
 
 def mll_gradient(dataset: SurfaceDataset, kernel, noise) -> np.ndarray:
@@ -91,19 +114,17 @@ def mll_gradient(dataset: SurfaceDataset, kernel, noise) -> np.ndarray:
     Ordered as the kernel's raw (log-space) parameters followed by the
     noise model's; uses d/dtheta = 0.5 tr((alpha alpha^T - A^-1) dA/dtheta).
     """
-    a = _training_matrix(dataset, kernel, noise)
-    fac, _ = chol_jittered(a)
-    alpha = scipy.linalg.cho_solve((fac, True), dataset.za)
-    m = np.outer(alpha, alpha) - scipy.linalg.cho_solve(
-        (fac, True), np.eye(len(alpha))
+    fac, alpha, _ = _gaussian_core(
+        _training_matrix(dataset, kernel, noise), dataset.za
     )
-    nk = n_params(kernel)
-    g = np.empty(nk + n_params(noise))
-    for i in range(nk):
-        g[i] = 0.5 * np.sum(m * kernels.kernel_grad(kernel, dataset.xa, i))
-    for i in range(n_params(noise)):
-        g[nk + i] = 0.5 * np.sum(m * kernels.kernel_grad(noise, dataset.xa, i))
-    return g
+    inv = _inverse_lower(fac)
+    inv += np.tril(inv, -1).T
+    m = np.outer(alpha, alpha) - inv
+    return np.array([
+        0.5 * np.sum(m * kernels.kernel_grad(part, dataset.xa, i))
+        for part in (kernel, noise)
+        for i in range(n_params(part))
+    ])
 
 
 @dataclass(frozen=True)
@@ -206,17 +227,13 @@ def impute(profile: Profile, model, seed: int) -> ImputationResult:
     predictive spread stays at least the noise floor everywhere, so a
     sample does not have to pass through the neighboring valid points.
     """
-    ds = split_dataset(profile)
+    ds, offset = _centered_dataset(profile)
     if ds.n_missing == 0:
         raise NothingToImputeError("profile has no missing heights")
     if ds.n_valid < 2:
         raise EmptyDatasetError("imputation needs at least two valid points")
-    offset = float(np.mean(ds.za))
-    centered = SurfaceDataset(
-        xa=ds.xa, za=ds.za - offset, xm=ds.xm, idx_a=ds.idx_a, idx_m=ds.idx_m
-    )
     kernel = getattr(model, "kernel", model)
-    post = predictive_posterior(centered, kernel, model.noise, ds.xm)
+    post = predictive_posterior(ds, kernel, model.noise, ds.xm)
     draw = sample_posterior(post, seed, 1)[0] + offset
     lo, hi = post.interval95()
     return ImputationResult(
@@ -258,8 +275,10 @@ class _GridMllObjective:
 
     All stationary kernels take only ``n_grid`` distinct values on the
     grid, so the training matrix is gathered from a per-lag table and
-    the trace terms reduce to one bincount over integer lags; this is
-    what makes exact fitting affordable on a single core.
+    the trace terms need only the by-lag sums of alpha alpha^T - A^-1:
+    twice the lower-triangle sum at lag > 0, the diagonal at lag 0.  For
+    A^-1 that is one bincount of the potri triangle; for alpha alpha^T
+    it is the autocorrelation of alpha placed on the grid.
     """
 
     def __init__(self, dataset: SurfaceDataset, dx: float, kernel0, noise0):
@@ -271,7 +290,9 @@ class _GridMllObjective:
         self.lag_idx = np.abs(idx[:, None] - idx[None, :]).astype(np.int32)
         self.n_lags = int(idx[-1] - idx[0]) + 1
         self.tau = np.arange(self.n_lags, dtype=float) * dx
-        self.eye = np.eye(len(idx))
+        self.grid_pos = idx - idx[0]
+        self.lower = np.tri(len(idx), dtype=bool)
+        self.lower_lags = self.lag_idx[self.lower]
 
     def split(self, raw):
         kernel = with_raw_vector(self.kernel0, raw[: self.nk])
@@ -290,17 +311,13 @@ class _GridMllObjective:
     def __call__(self, raw):
         kernel, noise = self.split(raw)
         a = self.table(kernel, noise)[self.lag_idx]
-        fac, _ = chol_jittered(a)
-        alpha = scipy.linalg.cho_solve((fac, True), self.za)
-        value = (
-            -0.5 * self.za @ alpha
-            - np.sum(np.log(np.diagonal(fac)))
-            - 0.5 * len(self.za) * LOG_2PI
-        )
-        m = np.outer(alpha, alpha) - scipy.linalg.cho_solve((fac, True), self.eye)
-        by_lag = np.bincount(
-            self.lag_idx.ravel(), weights=m.ravel(), minlength=self.n_lags
-        )
+        fac, alpha, value = _gaussian_core(a, self.za)
+        on_grid = np.zeros(self.n_lags)
+        on_grid[self.grid_pos] = alpha
+        by_lag = np.correlate(on_grid, on_grid, "full")[self.n_lags - 1 :]
+        inv_low = _inverse_lower(fac)[self.lower]
+        by_lag -= np.bincount(self.lower_lags, inv_low, minlength=self.n_lags)
+        by_lag[1:] *= 2.0
         g = np.empty(len(raw))
         for i in range(self.nk):
             g[i] = 0.5 * kernels.grad_on_lags(kernel, i, self.tau) @ by_lag
@@ -311,7 +328,7 @@ class _GridMllObjective:
                 g[self.nk + i] = (
                     0.5 * kernels.grad_on_lags(noise, i, self.tau) @ by_lag
                 )
-        return float(value), g
+        return value, g
 
 
 def fit_gp(profile: Profile, kernel0, noise0, config: OptConfig = OptConfig(),
@@ -322,11 +339,7 @@ def fit_gp(profile: Profile, kernel0, noise0, config: OptConfig = OptConfig(),
     are centered before fitting; restarts perturb the start point by
     +-20 % in log space.
     """
-    ds = split_dataset(profile)
-    offset = float(np.mean(ds.za))
-    centered = SurfaceDataset(
-        xa=ds.xa, za=ds.za - offset, xm=ds.xm, idx_a=ds.idx_a, idx_m=ds.idx_m
-    )
+    centered, _ = _centered_dataset(profile)
     objective = _GridMllObjective(centered, profile.dx, kernel0, noise0)
     x0 = np.concatenate([raw_vector(kernel0), raw_vector(noise0)])
     best_x, best_trace, traces = maximize_restarts(

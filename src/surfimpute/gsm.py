@@ -25,16 +25,16 @@ from scipy.special import expit
 from .errors import (
     ConfigError,
     FitFailureError,
+    NoProfileElementsError,
     NotPositiveDefiniteError,
     StaleWhiteningError,
 )
-from .gp import chol_jittered, estimate_noise_variance
+from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower
+# bench/tracing.py wraps gsm.chol_jittered, so the name stays importable here
+from .gp import chol_jittered, estimate_noise_variance  # noqa: F401
 from .kernels import NoiseParams, PointwiseLatents, SEParams, gsm_cov
 from .optimize import OptConfig, maximize
-from .profile import Profile, SurfaceDataset, rq, rsm, split_dataset
-from .errors import NoProfileElementsError
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .profile import Profile, SurfaceDataset, rq, rsm
 
 # relative jitter on the latent prior (times the latent variance)
 LATENT_JITTER = 1e-8
@@ -201,19 +201,14 @@ class GsmModel:
 def log_posterior(model: GsmModel, dataset: SurfaceDataset) -> float:
     """MAP objective: marginal likelihood plus the standard-normal log
     density of the whitened representatives (flat in everything else)."""
-    a = model.cov_matrix(dataset.xa) + model.noise_sigma2 * np.eye(dataset.n_valid)
-    fac, _ = chol_jittered(a)
-    alpha = scipy.linalg.cho_solve((fac, True), dataset.za)
-    mll = (
-        -0.5 * dataset.za @ alpha
-        - np.sum(np.log(np.diagonal(fac)))
-        - 0.5 * dataset.n_valid * LOG_2PI
-    )
+    a = model.cov_matrix(dataset.xa)
+    a[np.diag_indices_from(a)] += model.noise_sigma2
+    mll = _gaussian_core(a, dataset.za)[2]
     prior = 0.0
     for spec in (model.w, model.lam, model.f):
         v = whiten(spec)
         prior += -0.5 * float(v @ v) - 0.5 * spec.n * LOG_2PI
-    return float(mll) + prior
+    return mll + prior
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,6 @@ class _GsmObjective:
         if not (model0.lam.n == self.p and model0.f.n == self.p):
             raise ValueError("latent functions must share a representative count")
         self.sq = (self.xa[:, None] - self.xa[None, :]) ** 2
-        self.eye = np.eye(len(self.xa))
         self.specs0 = (model0.w, model0.lam, model0.f)
 
     def pack(self, model: GsmModel) -> np.ndarray:
@@ -280,7 +274,6 @@ class _GsmObjective:
     def _evaluate(self, raw: np.ndarray):
         p = self.p
         xa, za = self.xa, self.za
-        n = len(xa)
         vs, sigma_n2, hyps = self.split(raw)
 
         # latent layer: u_h(xa) = mean_h + K_xL L^-T v_h per latent
@@ -318,23 +311,20 @@ class _GsmObjective:
         arg = phase[:, None] - phase[None, :]
         wg = np.outer(w, w) * g
         k = wg * np.cos(arg)
-        a = k + sigma_n2 * self.eye
+        a = k.copy()
+        a[np.diag_indices_from(a)] += sigma_n2
         try:
-            fac_a, _ = chol_jittered(a)
+            fac_a, alpha, value = _gaussian_core(a, za)
         except NotPositiveDefiniteError:
             return -np.inf, np.zeros_like(raw)
-        alpha = scipy.linalg.cho_solve((fac_a, True), za)
-        value = (
-            -0.5 * za @ alpha
-            - np.sum(np.log(np.diagonal(fac_a)))
-            - 0.5 * n * LOG_2PI
-        )
         for v in vs:
             value += -0.5 * v @ v - 0.5 * p * LOG_2PI
         if not np.isfinite(value):
             return -np.inf, np.zeros_like(raw)
 
-        m = np.outer(alpha, alpha) - scipy.linalg.cho_solve((fac_a, True), self.eye)
+        inv = _inverse_lower(fac_a)
+        inv += np.tril(inv, -1).T
+        m = np.outer(alpha, alpha) - inv
 
         # per-point sensitivities s_h[k] = sum_j M_kj dK_kj/du_h(x_k)
         r_lam = k * (0.5 - lam2[:, None] / d + 2.0 * self.sq * lam2[:, None] / (d * d))
@@ -400,11 +390,7 @@ def fit_gsm(profile: Profile, model0: GsmModel,
     objective turns non-finite, or with model=None when the start
     point itself is invalid.
     """
-    ds = split_dataset(profile)
-    offset = float(np.mean(ds.za))
-    centered = SurfaceDataset(
-        xa=ds.xa, za=ds.za - offset, xm=ds.xm, idx_a=ds.idx_a, idx_m=ds.idx_m
-    )
+    centered, _ = _centered_dataset(profile)
     objective = _GsmObjective(model0, centered)
     x0 = objective.pack(model0)
     try:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 from .profile import Profile, profile_from_arrays
 
 PROFILE_HEADER = "x_mm,z_um,valid"
@@ -98,12 +98,6 @@ def read_posterior_csv(path):
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno) from exc
     return tuple(np.array(c) for c in cols)
-
-
-def check_same_grid(a: Profile, b: Profile) -> None:
-    """Truth/imputed comparability: identical sample positions."""
-    if a.n != b.n or not np.array_equal(a.x, b.x):
-        raise GridMismatchError("profiles are not on the same grid")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from surfimpute import (
     split_dataset,
     with_raw_vector,
 )
-from surfimpute.gp import GPModel, _GridMllObjective
+from surfimpute.gp import GPModel, _GridMllObjective, _gaussian_core, _inverse_lower
 
 
 def dataset_from(xa, za, xm=()):
@@ -80,12 +80,46 @@ def test_chol_escalates_jitter():
     fac, jitter = chol_jittered(a)
     assert jitter > 0.0
     assert np.max(np.abs(fac @ fac.T - a)) <= 1e-4 * np.mean(np.diagonal(a)) + 1e-9
+    # the jitter goes on a copy, and the factor is that of a + jitter * I
+    assert np.array_equal(a, np.outer(v, v))
+    assert np.array_equal(fac, np.linalg.cholesky(a + jitter * np.eye(3)))
 
 
 def test_chol_gives_up_on_indefinite():
     a = np.array([[1.0, 0.0], [0.0, -5.0]])
     with pytest.raises(NotPositiveDefiniteError):
         chol_jittered(a)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian core and potri inverse
+
+
+def test_core_and_inverse_share_the_jittered_factor():
+    # one eigenvalue slightly negative: only the last ladder rung factors it
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    a = q @ np.diag([1.0, 0.5, -2e-5]) @ q.T
+    a = 0.5 * (a + a.T)
+    y = np.array([0.3, -1.0, 2.0])
+    fac, alpha, logdens = _gaussian_core(a, y)
+    jitter = chol_jittered(a)[1]
+    assert jitter == 1e-4 * np.mean(np.diagonal(a))
+    jittered = a + jitter * np.eye(3)
+    inv = _inverse_lower(fac)
+    assert np.all(np.triu(inv, 1) == 0.0)
+    inv += np.tril(inv, -1).T
+    want = np.linalg.inv(jittered)
+    assert np.max(np.abs(inv - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(alpha - want @ y)) <= 1e-10 * np.max(np.abs(alpha))
+    ref = scipy.stats.multivariate_normal(np.zeros(3), jittered).logpdf(y)
+    assert abs(logdens - ref) <= 1e-10 * abs(ref)
+
+
+def test_inverse_of_a_singular_factor_raises():
+    fac = np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    fac[1, 1] = 0.0
+    with pytest.raises(NotPositiveDefiniteError):
+        _inverse_lower(fac)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +389,20 @@ def test_noise_estimate_recovers_white_level():
     assert 0.5 * sigma**2 < est < 2.0 * sigma**2
 
 
-def test_grid_objective_agrees_with_dense_mll():
+@pytest.mark.parametrize("case", ["random_mask", "masked_ends", "colored_noise"])
+def test_grid_objective_agrees_with_dense_mll(case):
     prof = random_profile(31, n=50, missing=6)
+    noise = NoiseParams("white", 0.03)
+    if case == "masked_ends":
+        # idx_a[0] > 0: alpha sits on the grid at an offset
+        valid = prof.valid.copy()
+        valid[:3] = valid[-4:] = False
+        prof = Profile(prof.grid, prof.z, valid)
+    elif case == "colored_noise":
+        # correlation length below the grid step keeps A well conditioned
+        noise = NoiseParams("colored", 0.03, 0.005)
     ds = split_dataset(prof)
     kernel = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
-    noise = NoiseParams("white", 0.03)
     obj = _GridMllObjective(ds, prof.dx, kernel, noise)
     raw = np.concatenate([raw_vector(kernel), raw_vector(noise)])
     val, grad = obj(raw)
