@@ -2,6 +2,10 @@
 surface-profile measurements, with stationary spectral-mixture and
 non-stationary generalized-spectral-mixture covariance models,
 simulators, mask generators, classical baselines, and evaluation.
+
+The package root holds the entry points the command line and the
+studies use; kernels, inference internals and the optimizer live in
+their submodules.
 """
 
 from .errors import (
@@ -16,75 +20,12 @@ from .errors import (
     NothingToImputeError,
     NotPositiveDefiniteError,
     PartialFillError,
-    StaleWhiteningError,
     SurfImputeError,
 )
-from .profile import (
-    FILTER_ALPHA,
-    Grid1D,
-    Profile,
-    SurfaceDataset,
-    gaussian_filter,
-    make_grid,
-    profile_from_arrays,
-    rq,
-    rsm,
-    split_dataset,
-)
-from .kernels import (
-    NoiseParams,
-    PeriodicParams,
-    PointwiseLatents,
-    SEParams,
-    SMParams,
-    build_cov,
-    gibbs_cov,
-    gsm_cov,
-    k_gibbs,
-    k_gsm,
-    k_noise,
-    k_periodic,
-    k_se,
-    k_sm,
-    kernel_grad,
-    n_params,
-    raw_vector,
-    value_on_lags,
-    with_raw_vector,
-)
-from .optimize import OptConfig, OptTrace, fd_gradient, maximize, maximize_restarts
-from .gp import (
-    GPModel,
-    ImputationResult,
-    PosteriorGaussian,
-    chol_jittered,
-    estimate_noise_variance,
-    fit_gp,
-    fit_se,
-    fit_sm,
-    impute,
-    log_marginal_likelihood,
-    mll_gradient,
-    posterior,
-    predictive_posterior,
-    sample_posterior,
-    sm_initial_kernel,
-)
-from .gsm import (
-    GsmModel,
-    LatentFunctionSpec,
-    WhiteningState,
-    build_whitening,
-    fit_gsm,
-    gsm_objective,
-    latent_eval,
-    load_gsm,
-    log_posterior,
-    make_gsm_model,
-    save_gsm,
-    unwhiten,
-    whiten,
-)
+from .profile import Grid1D, Profile, make_grid, profile_from_arrays, rq, rsm
+from .optimize import OptConfig
+from .gp import GPModel, ImputationResult, fit_se, fit_sm, impute
+from .gsm import GsmModel, fit_gsm, load_gsm, make_gsm_model, save_gsm
 from .baselines import (
     impute_constant,
     impute_idw,
@@ -93,15 +34,11 @@ from .baselines import (
 )
 from .synthesis import (
     ChirpConfig,
-    Dale,
     TurnedSimConfig,
-    chirp_wavelength_at,
-    chirp_wavelengths,
     mask_gradient,
     mask_smallest_width_dales,
     simulate_chirp,
     simulate_turned,
-    watershed_dales,
 )
 from .evaluate import EvalReport, evaluate
 from .io import (
@@ -111,8 +48,64 @@ from .io import (
     write_posterior_csv,
     write_profile_csv,
 )
-from .plotting import render_svg, svg_masked_spans, write_svg
+from .plotting import render_svg, write_svg
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "ConfigError",
+    "CoverageError",
+    "EmptyDatasetError",
+    "FitFailureError",
+    "GridMismatchError",
+    "InsufficientFeaturesError",
+    "MustImputeFirstError",
+    "NoProfileElementsError",
+    "NothingToImputeError",
+    "NotPositiveDefiniteError",
+    "PartialFillError",
+    "SurfImputeError",
+    # profiles and roughness
+    "Grid1D",
+    "Profile",
+    "make_grid",
+    "profile_from_arrays",
+    "rq",
+    "rsm",
+    # fitting and imputation
+    "OptConfig",
+    "GPModel",
+    "ImputationResult",
+    "fit_se",
+    "fit_sm",
+    "impute",
+    "GsmModel",
+    "fit_gsm",
+    "make_gsm_model",
+    # baselines
+    "impute_constant",
+    "impute_idw",
+    "impute_median_filter",
+    "impute_nn_mean",
+    # simulators and masks
+    "ChirpConfig",
+    "TurnedSimConfig",
+    "mask_gradient",
+    "mask_smallest_width_dales",
+    "simulate_chirp",
+    "simulate_turned",
+    # evaluation and plotting
+    "EvalReport",
+    "evaluate",
+    "render_svg",
+    "write_svg",
+    # files
+    "load_gsm",
+    "parse_config",
+    "read_posterior_csv",
+    "read_profile_csv",
+    "save_gsm",
+    "write_posterior_csv",
+    "write_profile_csv",
+]

@@ -62,10 +62,6 @@ class FitFailureError(SurfImputeError):
         self.trace = trace
 
 
-class StaleWhiteningError(SurfImputeError):
-    """A whitening state was used with hyperparameters it was not built for."""
-
-
 class GridMismatchError(SurfImputeError):
     """Two profiles that must share an abscissa grid do not."""
 

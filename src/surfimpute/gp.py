@@ -142,22 +142,27 @@ class PosteriorGaussian:
         return self.mean - half, self.mean + half
 
 
-def posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
-    """Posterior of the noise-free heights at xm given (xa, za)."""
+def _conditioned(dataset: SurfaceDataset, kernel, noise, xm, query_parts):
+    """Condition the zero-mean GP on (xa, za); the query and cross
+    covariances are the sum of ``query_parts``.  With L the training
+    factor and v = L^-1 C_am, cov = C_mm - v^T v is exactly symmetric."""
     xm = np.asarray(xm, dtype=float)
     if xm.ndim != 1:
         raise ValueError("query abscissas must be a 1-D array")
     if len(xm) == 0:
         return PosteriorGaussian(np.zeros(0), np.zeros((0, 0)))
-    a = _training_matrix(dataset, kernel, noise)
-    fac, _ = chol_jittered(a)
-    alpha = scipy.linalg.cho_solve((fac, True), dataset.za)
-    k_ma = build_cov(kernel, xm, dataset.xa)
-    mean = k_ma @ alpha
-    v = scipy.linalg.cho_solve((fac, True), k_ma.T)
-    cov = build_cov(kernel, xm) - k_ma @ v
-    cov = 0.5 * (cov + cov.T)
-    return PosteriorGaussian(mean, cov)
+    fac, alpha, _ = _gaussian_core(
+        _training_matrix(dataset, kernel, noise), dataset.za
+    )
+    c_ma = sum(build_cov(part, xm, dataset.xa) for part in query_parts)
+    v = scipy.linalg.solve_triangular(fac, c_ma.T, lower=True)
+    prior = sum(build_cov(part, xm) for part in query_parts)
+    return PosteriorGaussian(c_ma @ alpha, prior - v.T @ v)
+
+
+def posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
+    """Posterior of the noise-free heights at xm given (xa, za)."""
+    return _conditioned(dataset, kernel, noise, xm, (kernel,))
 
 
 def predictive_posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
@@ -168,20 +173,7 @@ def predictive_posterior(dataset: SurfaceDataset, kernel, noise, xm) -> Posterio
     imputation draws from: a measurement-like fill, whose spread never
     drops below the noise floor even right next to valid samples.
     """
-    xm = np.asarray(xm, dtype=float)
-    if xm.ndim != 1:
-        raise ValueError("query abscissas must be a 1-D array")
-    if len(xm) == 0:
-        return PosteriorGaussian(np.zeros(0), np.zeros((0, 0)))
-    a = _training_matrix(dataset, kernel, noise)
-    fac, _ = chol_jittered(a)
-    alpha = scipy.linalg.cho_solve((fac, True), dataset.za)
-    c_ma = build_cov(kernel, xm, dataset.xa) + build_cov(noise, xm, dataset.xa)
-    mean = c_ma @ alpha
-    v = scipy.linalg.cho_solve((fac, True), c_ma.T)
-    cov = build_cov(kernel, xm) + build_cov(noise, xm) - c_ma @ v
-    cov = 0.5 * (cov + cov.T)
-    return PosteriorGaussian(mean, cov)
+    return _conditioned(dataset, kernel, noise, xm, (kernel, noise))
 
 
 def sample_posterior(post: PosteriorGaussian, seed: int, count: int = 1) -> np.ndarray:

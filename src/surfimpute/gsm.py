@@ -9,8 +9,8 @@ the representatives whitened by the current latent prior factor, so the
 optimizer always works in approximately isotropic coordinates.
 
 Gradients are analytic throughout, including through the whitening
-factor (Cholesky differentiation), and are verified against central
-finite differences in the tests.
+factor (Cholesky differentiation for the latent lengthscales), and are
+verified against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -27,12 +27,21 @@ from .errors import (
     FitFailureError,
     NoProfileElementsError,
     NotPositiveDefiniteError,
-    StaleWhiteningError,
 )
 from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower
 # bench/tracing.py wraps gsm.chol_jittered, so the name stays importable here
 from .gp import chol_jittered, estimate_noise_variance  # noqa: F401
-from .kernels import NoiseParams, PointwiseLatents, SEParams, gsm_cov
+from .io import _fmt, parse_config
+from .kernels import (
+    NoiseParams,
+    PointwiseLatents,
+    SEParams,
+    build_cov,
+    grad_on_lags,
+    gsm_cov,
+    kernel_grad,
+    value_on_lags,
+)
 from .optimize import OptConfig, maximize
 from .profile import Profile, SurfaceDataset, rq, rsm
 
@@ -87,78 +96,41 @@ def _apply_transform(spec: LatentFunctionSpec, u: np.ndarray) -> np.ndarray:
     return spec.scale * expit(u)
 
 
-def _latent_prior(spec: LatentFunctionSpec) -> np.ndarray:
-    t = np.abs(spec.x_l[:, None] - spec.x_l[None, :])
-    th = spec.se.theta
-    k = spec.se.sigma2 * np.exp(-(t * t) / (2.0 * th * th))
-    return k + (LATENT_JITTER * spec.se.sigma2) * np.eye(spec.n)
-
-
-@dataclass(frozen=True)
-class WhiteningState:
-    """Cholesky factor of the jittered latent prior, tagged with the
-    hyperparameters it was built from."""
-
-    factor: np.ndarray
-    sigma2: float
-    theta: float
-
-    def matches(self, spec: LatentFunctionSpec) -> bool:
-        return (
-            self.sigma2 == spec.se.sigma2
-            and self.theta == spec.se.theta
-            and self.factor.shape[0] == spec.n
-        )
-
-
-def build_whitening(spec: LatentFunctionSpec) -> WhiteningState:
+def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the SE latent prior at x_l, with a
+    relative diagonal jitter of LATENT_JITTER times its variance."""
+    k = build_cov(se, x_l)
+    k[np.diag_indices_from(k)] += LATENT_JITTER * se.sigma2
     try:
-        factor = np.linalg.cholesky(_latent_prior(spec))
+        return np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "latent prior is not positive definite"
         ) from exc
-    return WhiteningState(factor, spec.se.sigma2, spec.se.theta)
 
 
-def _checked_state(spec: LatentFunctionSpec, state: WhiteningState | None):
-    if state is None:
-        return build_whitening(spec)
-    if not state.matches(spec):
-        raise StaleWhiteningError(
-            "whitening state was built for different latent hyperparameters"
-        )
-    return state
-
-
-def whiten(spec: LatentFunctionSpec, state: WhiteningState | None = None):
+def whiten(spec: LatentFunctionSpec) -> np.ndarray:
     """Representatives -> isotropic coordinates v = L^-1 (ubar - mean)."""
-    state = _checked_state(spec, state)
     return scipy.linalg.solve_triangular(
-        state.factor, spec.ubar - spec.mean, lower=True
+        _latent_factor(spec.se, spec.x_l), spec.ubar - spec.mean, lower=True
     )
 
 
-def unwhiten(spec: LatentFunctionSpec, v, state: WhiteningState | None = None):
+def unwhiten(spec: LatentFunctionSpec, v) -> LatentFunctionSpec:
     """Isotropic coordinates -> a spec carrying ubar = mean + L v."""
-    state = _checked_state(spec, state)
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.n,):
         raise ValueError(f"expected {spec.n} whitened coordinates")
-    return replace(spec, ubar=spec.mean + state.factor @ v)
+    return replace(spec, ubar=spec.mean + _latent_factor(spec.se, spec.x_l) @ v)
 
 
 def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
     """Transformed latent function at query points: noise-free GP
     posterior-mean interpolation of the representatives, then the
     output transform."""
-    xq = np.asarray(xq, dtype=float)
-    prior = _latent_prior(spec)
-    fac = scipy.linalg.cho_factor(prior, lower=True)
-    coef = scipy.linalg.cho_solve(fac, spec.ubar - spec.mean)
-    t = np.abs(xq[:, None] - spec.x_l[None, :])
-    th = spec.se.theta
-    k_ql = spec.se.sigma2 * np.exp(-(t * t) / (2.0 * th * th))
+    fac = _latent_factor(spec.se, spec.x_l)
+    coef = scipy.linalg.cho_solve((fac, True), spec.ubar - spec.mean)
+    k_ql = build_cov(spec.se, xq, spec.x_l)
     return _apply_transform(spec, spec.mean + k_ql @ coef)
 
 
@@ -237,6 +209,8 @@ class _GsmObjective:
             raise ValueError("latent functions must share a representative count")
         self.sq = (self.xa[:, None] - self.xa[None, :]) ** 2
         self.specs0 = (model0.w, model0.lam, model0.f)
+        self.t_xls = [np.abs(self.xa[:, None] - spec.x_l[None, :])
+                      for spec in self.specs0]
 
     def pack(self, model: GsmModel) -> np.ndarray:
         parts = [whiten(spec) for spec in (model.w, model.lam, model.f)]
@@ -268,7 +242,8 @@ class _GsmObjective:
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 return self._evaluate(raw)
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError):
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError,
+                NotPositiveDefiniteError):
             return -np.inf, np.zeros_like(raw)
 
     def _evaluate(self, raw: np.ndarray):
@@ -277,25 +252,13 @@ class _GsmObjective:
         vs, sigma_n2, hyps = self.split(raw)
 
         # latent layer: u_h(xa) = mean_h + K_xL L^-T v_h per latent
-        us, rs, facs, k_xls, t_xls, t_lls = [], [], [], [], [], []
-        for spec0, v, (s2, th) in zip(self.specs0, vs, hyps):
-            x_l = spec0.x_l
-            t_ll = np.abs(x_l[:, None] - x_l[None, :])
-            k_ll = s2 * np.exp(-(t_ll * t_ll) / (2.0 * th * th))
-            k_ll += (LATENT_JITTER * s2) * np.eye(p)
-            try:
-                fac = np.linalg.cholesky(k_ll)
-            except np.linalg.LinAlgError:
-                return -np.inf, np.zeros_like(raw)
-            r = scipy.linalg.solve_triangular(fac.T, v, lower=False)
-            t_xl = np.abs(xa[:, None] - x_l[None, :])
-            k_xl = s2 * np.exp(-(t_xl * t_xl) / (2.0 * th * th))
-            us.append(spec0.mean + k_xl @ r)
-            rs.append(r)
-            facs.append(fac)
-            k_xls.append(k_xl)
-            t_xls.append(t_xl)
-            t_lls.append(t_ll)
+        ses = [SEParams(s2, th) for s2, th in hyps]
+        facs = [_latent_factor(se, spec.x_l) for se, spec in zip(ses, self.specs0)]
+        rs = [scipy.linalg.solve_triangular(fac.T, v, lower=False)
+              for fac, v in zip(facs, vs)]
+        k_xls = [value_on_lags(se, t_xl) for se, t_xl in zip(ses, self.t_xls)]
+        devs = [k_xl @ r for k_xl, r in zip(k_xls, rs)]
+        us = [spec.mean + dev for spec, dev in zip(self.specs0, devs)]
 
         w = np.exp(us[0])
         lam = np.exp(us[1])
@@ -313,10 +276,7 @@ class _GsmObjective:
         k = wg * np.cos(arg)
         a = k.copy()
         a[np.diag_indices_from(a)] += sigma_n2
-        try:
-            fac_a, alpha, value = _gaussian_core(a, za)
-        except NotPositiveDefiniteError:
-            return -np.inf, np.zeros_like(raw)
+        fac_a, alpha, value = _gaussian_core(a, za)
         for v in vs:
             value += -0.5 * v @ v - 0.5 * p * LOG_2PI
         if not np.isfinite(value):
@@ -338,38 +298,24 @@ class _GsmObjective:
         ]
 
         grad = np.empty_like(raw)
-        for h in range(3):
+        grad[3 * p] = 0.5 * sigma_n2 * np.trace(m)
+        for h, (spec, se, fac) in enumerate(zip(self.specs0, ses, facs)):
             y = k_xls[h].T @ sens[h]
             grad[h * p : (h + 1) * p] = (
-                scipy.linalg.solve_triangular(facs[h], y, lower=True) - vs[h]
+                scipy.linalg.solve_triangular(fac, y, lower=True) - vs[h]
             )
-        grad[3 * p] = 0.5 * sigma_n2 * np.trace(m)
-
-        # latent hyperparameters, through interpolation and whitening
-        pos = 3 * p + 1
-        for h in range(3):
-            s2, th = hyps[h]
-            fac, r, k_xl = facs[h], rs[h], k_xls[h]
-            t_ll, t_xl = t_lls[h], t_xls[h]
-            k_ll_jit = fac @ fac.T
-            for which in range(2):
-                if which == 0:  # log sigma_k^2: dK scales with the matrix
-                    dk_ll = k_ll_jit
-                    dk_xl = k_xl
-                else:  # log theta_k
-                    dk_ll = (k_ll_jit - (LATENT_JITTER * s2) * np.eye(p)) * (
-                        t_ll * t_ll
-                    ) / (th * th)
-                    dk_xl = k_xl * (t_xl * t_xl) / (th * th)
-                s_mat = scipy.linalg.solve_triangular(fac, dk_ll, lower=True)
-                s_mat = scipy.linalg.solve_triangular(
-                    fac, s_mat.T, lower=True
-                ).T
-                dl_t_r = _phi_lower_half(s_mat).T @ (fac.T @ r)
-                t2 = scipy.linalg.solve_triangular(fac.T, dl_t_r, lower=False)
-                du = dk_xl @ r - k_xl @ t2
-                grad[pos] = sens[h] @ du
-                pos += 1
+            # log sigma_k^2: the jitter is relative, so u - mean scales
+            # as sqrt(sigma_k^2) and du = (u - mean) / 2
+            grad[3 * p + 1 + 2 * h] = 0.5 * sens[h] @ devs[h]
+            # log theta_k: through the interpolation and the factor
+            s_mat = scipy.linalg.solve_triangular(
+                fac, kernel_grad(se, spec.x_l, 1), lower=True
+            )
+            s_mat = scipy.linalg.solve_triangular(fac, s_mat.T, lower=True).T
+            dl_t_r = _phi_lower_half(s_mat).T @ (fac.T @ rs[h])
+            t2 = scipy.linalg.solve_triangular(fac.T, dl_t_r, lower=False)
+            du = grad_on_lags(se, 1, self.t_xls[h]) @ rs[h] - k_xls[h] @ t2
+            grad[3 * p + 2 + 2 * h] = sens[h] @ du
 
         return float(value), grad
 
@@ -471,10 +417,6 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
 # model persistence (flat key = value text)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _fmt_list(a) -> str:
     return ",".join(_fmt(v) for v in np.asarray(a, dtype=float))
 
@@ -495,44 +437,33 @@ def save_gsm(model: GsmModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_gsm(path) -> GsmModel:
-    entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("expected 'key = value'", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise ConfigError(f"duplicate key {key!r}", line=lineno)
-            entries[key] = (value.strip(), lineno)
+def _floats(s: str) -> np.ndarray:
+    return np.array([float(v) for v in s.split(",")])
 
-    def take(key):
+
+_GSM_SCHEMA = {"format": str, "noise_sigma2": float} | {
+    f"latent_{name}.{key}": convert
+    for name in ("w", "lambda", "f")
+    for key, convert in (("transform", str), ("scale", float),
+                         ("mean", float), ("sigma2", float),
+                         ("theta", float), ("x", _floats), ("ubar", _floats))
+}
+
+
+def load_gsm(path) -> GsmModel:
+    entries = parse_config(path, _GSM_SCHEMA)
+    for key in _GSM_SCHEMA:
         if key not in entries:
             raise ConfigError(f"missing key {key!r}")
-        return entries.pop(key)[0]
+    if entries["format"] != "gsm-model-v1":
+        raise ConfigError(f"unsupported format {entries['format']!r}")
 
-    fmt = take("format")
-    if fmt != "gsm-model-v1":
-        raise ConfigError(f"unsupported format {fmt!r}")
-    noise_sigma2 = float(take("noise_sigma2"))
-    specs = {}
-    for name in ("w", "lambda", "f"):
-        transform = take(f"latent_{name}.transform")
-        scale = float(take(f"latent_{name}.scale"))
-        mean = float(take(f"latent_{name}.mean"))
-        sigma2 = float(take(f"latent_{name}.sigma2"))
-        theta = float(take(f"latent_{name}.theta"))
-        x_l = np.array([float(s) for s in take(f"latent_{name}.x").split(",")])
-        ubar = np.array([float(s) for s in take(f"latent_{name}.ubar").split(",")])
-        specs[name] = LatentFunctionSpec(
-            x_l, ubar, mean, SEParams(sigma2, theta), transform, scale
-        )
-    if entries:
-        key, (_, lineno) = next(iter(entries.items()))
-        raise ConfigError(f"unknown key {key!r}", line=lineno)
-    return GsmModel(w=specs["w"], lam=specs["lambda"], f=specs["f"],
-                    noise_sigma2=noise_sigma2)
+    def latent(name):
+        def e(key):
+            return entries[f"latent_{name}.{key}"]
+        return LatentFunctionSpec(e("x"), e("ubar"), e("mean"),
+                                  SEParams(e("sigma2"), e("theta")),
+                                  e("transform"), e("scale"))
+
+    return GsmModel(w=latent("w"), lam=latent("lambda"), f=latent("f"),
+                    noise_sigma2=entries["noise_sigma2"])

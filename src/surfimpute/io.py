@@ -135,11 +135,3 @@ def parse_config(path, schema: dict) -> dict:
                                   line=lineno) from exc
     return out
 
-
-def config_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")

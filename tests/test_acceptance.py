@@ -15,29 +15,25 @@ import numpy as np
 
 from surfimpute import (
     GsmModel,
-    LatentFunctionSpec,
-    NoiseParams,
-    PeriodicParams,
-    SEParams,
-    SMParams,
-    fd_gradient,
-    gsm_objective,
     impute_constant,
     impute_idw,
     impute_median_filter,
     impute_nn_mean,
-    posterior,
     profile_from_arrays,
     read_profile_csv,
     rq,
-    sample_posterior,
     write_profile_csv,
 )
 from surfimpute.cli import main
 from surfimpute.experiments import run_chirp_experiment, run_turned_experiment
-from surfimpute.gp import _GridMllObjective
+from surfimpute.gp import _GridMllObjective, posterior, sample_posterior
+from surfimpute.gsm import LatentFunctionSpec, gsm_objective
 from surfimpute.kernels import (
+    NoiseParams,
+    PeriodicParams,
     PointwiseLatents,
+    SEParams,
+    SMParams,
     build_cov,
     gibbs_cov,
     gsm_cov,
@@ -45,6 +41,7 @@ from surfimpute.kernels import (
     k_sm,
     raw_vector,
 )
+from surfimpute.optimize import fd_gradient
 from surfimpute.profile import SurfaceDataset, split_dataset
 
 

@@ -8,34 +8,41 @@ import scipy.stats
 
 from surfimpute import (
     EmptyDatasetError,
-    NoiseParams,
     NotPositiveDefiniteError,
     NothingToImputeError,
     OptConfig,
     Profile,
-    SEParams,
-    SMParams,
-    build_cov,
-    chol_jittered,
-    estimate_noise_variance,
-    fd_gradient,
     fit_se,
     fit_sm,
     impute,
-    kernel_grad,
-    log_marginal_likelihood,
     make_grid,
+    rq,
+)
+from surfimpute.gp import (
+    GPModel,
+    _GridMllObjective,
+    _gaussian_core,
+    _inverse_lower,
+    chol_jittered,
+    estimate_noise_variance,
+    log_marginal_likelihood,
     mll_gradient,
-    n_params,
     posterior,
     predictive_posterior,
-    raw_vector,
-    rq,
     sample_posterior,
-    split_dataset,
+)
+from surfimpute.kernels import (
+    NoiseParams,
+    SEParams,
+    SMParams,
+    build_cov,
+    kernel_grad,
+    n_params,
+    raw_vector,
     with_raw_vector,
 )
-from surfimpute.gp import GPModel, _GridMllObjective, _gaussian_core, _inverse_lower
+from surfimpute.optimize import fd_gradient
+from surfimpute.profile import split_dataset
 
 
 def dataset_from(xa, za, xm=()):
@@ -260,6 +267,29 @@ def test_predictive_adds_noise_floor():
     assert np.array_equal(lat.mean, pred.mean)
     assert np.max(np.abs((pred.cov - lat.cov) - 0.04 * np.eye(7))) < 1e-12
     assert np.all(np.diagonal(pred.cov) >= 0.04 - 1e-12)
+
+
+def test_predictive_with_colored_noise_matches_dense_conditioning():
+    # the fill path: colored noise also correlates the query heights with
+    # the valid ones, so the cross block carries the noise covariance too
+    rng = np.random.default_rng(15)
+    xa = np.sort(rng.choice(np.linspace(0.0, 1.0, 41), 30, replace=False))
+    za = np.sin(6.0 * xa) + 0.05 * rng.standard_normal(30)
+    ds = dataset_from(xa, za)
+    kernel = SEParams(1.0, 0.15)
+    noise = NoiseParams("colored", 0.04, 0.03)
+    xm = np.linspace(0.0125, 0.9875, 7)
+    pred = predictive_posterior(ds, kernel, noise, xm)
+
+    def cov(xs, ys):
+        return build_cov(kernel, xs, ys) + build_cov(noise, xs, ys)
+
+    a, c_ma = cov(xa, xa), cov(xm, xa)
+    mean = c_ma @ np.linalg.solve(a, za)
+    want = cov(xm, xm) - c_ma @ np.linalg.solve(a, c_ma.T)
+    assert np.max(np.abs(pred.mean - mean)) < 1e-10
+    assert np.max(np.abs(pred.cov - want)) < 1e-10
+    assert np.array_equal(pred.cov, pred.cov.T)
 
 
 def test_posterior_empty_queries():

@@ -15,25 +15,26 @@ from surfimpute import (
     ConfigError,
     FitFailureError,
     GsmModel,
-    LatentFunctionSpec,
     OptConfig,
     Profile,
-    SEParams,
-    StaleWhiteningError,
-    SurfaceDataset,
-    build_whitening,
-    fd_gradient,
     fit_gsm,
-    gsm_objective,
-    latent_eval,
     load_gsm,
-    log_posterior,
     make_gsm_model,
     make_grid,
     save_gsm,
+)
+from surfimpute.gsm import (
+    LatentFunctionSpec,
+    _latent_factor,
+    gsm_objective,
+    latent_eval,
+    log_posterior,
     unwhiten,
     whiten,
 )
+from surfimpute.kernels import SEParams
+from surfimpute.optimize import fd_gradient
+from surfimpute.profile import SurfaceDataset
 
 LATENT_JITTER = 1e-8
 LOG_2PI = math.log(2.0 * math.pi)
@@ -123,23 +124,13 @@ def test_whiten_diagonal_limit():
     assert np.max(np.abs(v - want)) < 1e-6 * np.max(np.abs(want))
 
 
-def test_whitening_state_reconstructs_prior():
+def test_latent_factor_reconstructs_prior():
     spec = latent(np.zeros(7), sigma2=2.5, theta=0.4)
-    state = build_whitening(spec)
-    rebuilt = state.factor @ state.factor.T
+    fac = _latent_factor(spec.se, spec.x_l)
+    rebuilt = fac @ fac.T
     want = latent_prior(spec)
     rel = np.linalg.norm(rebuilt - want) / np.linalg.norm(want)
     assert rel < 1e-8
-
-
-def test_stale_whitening_state_raises():
-    spec = latent(np.array([0.1, -0.2, 0.3]))
-    state = build_whitening(spec)
-    changed = replace(spec, se=SEParams(2.0, 0.3))
-    with pytest.raises(StaleWhiteningError):
-        whiten(changed, state)
-    with pytest.raises(StaleWhiteningError):
-        unwhiten(changed, np.zeros(3), state)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +406,14 @@ def test_load_gsm_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_gsm(write("garbage.txt", "\n".join(lines + ["no separator"])))
     assert err.value.line == len(lines) + 1
+
+    # a malformed value, scalar or list element, names its line
+    for key, value in (("latent_w.sigma2", "abc"), ("latent_f.x", "0,,1")):
+        at = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
+        bad = lines[:at] + [f"{key} = {value}"] + lines[at + 1:]
+        with pytest.raises(ConfigError) as err:
+            load_gsm(write("value.txt", "\n".join(bad)))
+        assert err.value.line == at + 1
 
 
 def test_make_gsm_model_structure():

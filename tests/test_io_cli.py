@@ -24,14 +24,12 @@ from surfimpute import (
     read_profile_csv,
     render_svg,
     rq,
-    svg_masked_spans,
     write_posterior_csv,
     write_profile_csv,
     write_svg,
 )
 from surfimpute.cli import main
-from surfimpute.io import config_bool
-from surfimpute.plotting import masked_runs
+from surfimpute.plotting import masked_runs, svg_masked_spans
 
 
 def run_cli(argv):
@@ -153,8 +151,8 @@ def test_parse_config_reads_flat_keys(tmp_path):
         "label = run-a\n"
         "enabled = yes\n"
     )
-    schema = {"n": int, "dx": float, "label": str, "enabled": config_bool,
-              "absent": float}
+    schema = {"n": int, "dx": float, "label": str,
+              "enabled": lambda s: s == "yes", "absent": float}
     got = parse_config(p, schema)
     assert got == {"n": 250, "dx": 2e-3, "label": "run-a", "enabled": True}
     # missing keys are for the caller to default, not an error
@@ -178,11 +176,6 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     assert err.line == 1 and "key = value" in str(err)
     err = attempt("n = 2.5\n")
     assert err.line == 1 and "'n'" in str(err)
-
-    assert config_bool("TRUE") and config_bool("1") and config_bool("on")
-    assert not (config_bool("off") or config_bool("No") or config_bool("0"))
-    with pytest.raises(ValueError):
-        config_bool("maybe")
 
 
 # ---------------------------------------------------------------------------

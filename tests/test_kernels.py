@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from surfimpute import (
+from surfimpute.kernels import (
     NoiseParams,
     PeriodicParams,
     PointwiseLatents,
     SEParams,
     SMParams,
     build_cov,
-    fd_gradient,
     gibbs_cov,
     gsm_cov,
     k_gibbs,
@@ -26,6 +25,7 @@ from surfimpute import (
     raw_vector,
     with_raw_vector,
 )
+from surfimpute.optimize import fd_gradient
 
 RNG = np.random.default_rng(2024)
 

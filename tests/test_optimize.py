@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from surfimpute import OptConfig, fd_gradient, maximize, maximize_restarts
+from surfimpute import OptConfig
+from surfimpute.optimize import fd_gradient, maximize, maximize_restarts
 
 
 def neg_quadratic_1d(x):

@@ -11,13 +11,12 @@ from surfimpute import (
     MustImputeFirstError,
     NoProfileElementsError,
     Profile,
-    gaussian_filter,
     make_grid,
     profile_from_arrays,
     rq,
     rsm,
-    split_dataset,
 )
+from surfimpute.profile import gaussian_filter, split_dataset
 
 
 def sine_profile(wavelength, amplitude=1.0, dx=None, periods=10, phase=0.0):

@@ -11,15 +11,13 @@ from surfimpute import (
     MustImputeFirstError,
     Profile,
     TurnedSimConfig,
-    chirp_wavelength_at,
-    chirp_wavelengths,
     make_grid,
     mask_gradient,
     mask_smallest_width_dales,
     simulate_chirp,
     simulate_turned,
-    watershed_dales,
 )
+from surfimpute.synthesis import chirp_wavelength_at, chirp_wavelengths, watershed_dales
 
 
 def profile_of(z, dx=1.0):
