@@ -120,7 +120,7 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
                 n_restarts=args.restarts,
             )
         elif args.model == "se":
-            model, trace, _ = fit_se(profile, config=opt, seed=args.seed)
+            model, trace, _ = fit_se(profile, config=opt)
         else:
             model0 = make_gsm_model(
                 profile,

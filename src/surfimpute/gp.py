@@ -362,23 +362,20 @@ def sm_initial_kernel(profile: Profile, q: int = 5,
 
 def fit_sm(profile: Profile, q: int = 5, config: OptConfig = OptConfig(),
            seed: int = 0, init_rsm: float | None = None,
-           init_rq: float | None = None, noise0: float | None = None,
-           n_restarts: int = 3):
+           init_rq: float | None = None, n_restarts: int = 3):
     """Fit a Q-component spectral mixture with white noise."""
     kernel0 = sm_initial_kernel(profile, q, init_rsm, init_rq)
-    sigma_n0 = noise0 if noise0 is not None else estimate_noise_variance(profile)
     return fit_gp(
         profile,
         kernel0,
-        NoiseParams("white", sigma_n0),
+        NoiseParams("white", estimate_noise_variance(profile)),
         config,
         n_restarts=n_restarts,
         seed=seed,
     )
 
 
-def fit_se(profile: Profile, config: OptConfig = OptConfig(), seed: int = 0,
-           noise0: float | None = None):
+def fit_se(profile: Profile, config: OptConfig = OptConfig()):
     """Fit a squared-exponential GP (ordinary-kriging style baseline)."""
     zv = profile.valid_z()
     sigma2 = max(float(np.var(zv)), 1e-12)
@@ -387,8 +384,5 @@ def fit_se(profile: Profile, config: OptConfig = OptConfig(), seed: int = 0,
     except NoProfileElementsError:
         theta = max(profile.grid.span / 20.0, profile.dx)
     kernel0 = SEParams(sigma2, theta)
-    sigma_n0 = noise0 if noise0 is not None else estimate_noise_variance(profile)
-    return fit_gp(
-        profile, kernel0, NoiseParams("white", sigma_n0), config,
-        n_restarts=1, seed=seed,
-    )
+    noise0 = NoiseParams("white", estimate_noise_variance(profile))
+    return fit_gp(profile, kernel0, noise0, config)

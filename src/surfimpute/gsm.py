@@ -47,6 +47,9 @@ from .profile import Profile, SurfaceDataset, rq, rsm
 
 # relative jitter on the latent prior (times the latent variance)
 LATENT_JITTER = 1e-8
+# starting SE prior of every latent: variance, and lengthscale / span
+LATENT_SIGMA2 = 0.25
+LATENT_THETA_FRAC = 0.125
 
 _TRANSFORMS = ("log", "logit")
 
@@ -146,8 +149,9 @@ class GsmModel:
     def __post_init__(self):
         if not self.noise_sigma2 >= 0:
             raise ValueError("noise variance must be >= 0")
-        if self.f.transform != "logit":
-            raise ValueError("frequency latent must use the logit transform")
+        # _GsmObjective always maps w and lambda by exp and f by the logit
+        if (self.w.transform, self.lam.transform, self.f.transform) != ("log", "log", "logit"):
+            raise ValueError("latent transforms must be log (w, lambda) and logit (f)")
 
     @property
     def noise(self) -> NoiseParams:
@@ -357,8 +361,6 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
                    rq0: float | None = None,
                    wavelength_left: float | None = None,
                    wavelength_right: float | None = None,
-                   latent_sigma2: float = 0.25,
-                   latent_theta_frac: float = 0.125,
                    noise0: float | None = None) -> GsmModel:
     """Prior-knowledge starting model.
 
@@ -400,7 +402,7 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     if not amp > 0:
         raise ValueError("Rq scale must be positive")
     median_lam = float(np.median(1.0 / ramp))
-    se = SEParams(latent_sigma2, latent_theta_frac * span)
+    se = SEParams(LATENT_SIGMA2, LATENT_THETA_FRAC * span)
     sigma_n2 = noise0 if noise0 is not None else estimate_noise_variance(profile)
 
     return GsmModel(
@@ -441,10 +443,16 @@ def _floats(s: str) -> np.ndarray:
     return np.array([float(v) for v in s.split(",")])
 
 
+def _transform(s: str) -> str:
+    if s not in _TRANSFORMS:
+        raise ValueError(f"unknown transform {s!r}")
+    return s
+
+
 _GSM_SCHEMA = {"format": str, "noise_sigma2": float} | {
     f"latent_{name}.{key}": convert
     for name in ("w", "lambda", "f")
-    for key, convert in (("transform", str), ("scale", float),
+    for key, convert in (("transform", _transform), ("scale", float),
                          ("mean", float), ("sigma2", float),
                          ("theta", float), ("x", _floats), ("ubar", _floats))
 }
@@ -461,9 +469,15 @@ def load_gsm(path) -> GsmModel:
     def latent(name):
         def e(key):
             return entries[f"latent_{name}.{key}"]
-        return LatentFunctionSpec(e("x"), e("ubar"), e("mean"),
-                                  SEParams(e("sigma2"), e("theta")),
-                                  e("transform"), e("scale"))
+        try:
+            return LatentFunctionSpec(e("x"), e("ubar"), e("mean"),
+                                      SEParams(e("sigma2"), e("theta")),
+                                      e("transform"), e("scale"))
+        except ValueError as exc:
+            raise ConfigError(f"latent_{name}: {exc}") from exc
 
-    return GsmModel(w=latent("w"), lam=latent("lambda"), f=latent("f"),
-                    noise_sigma2=entries["noise_sigma2"])
+    try:
+        return GsmModel(w=latent("w"), lam=latent("lambda"), f=latent("f"),
+                        noise_sigma2=entries["noise_sigma2"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -1,10 +1,9 @@
 """Deterministic gradient-ascent optimizer used for all model fitting.
 
-Adaptive-moment (Adam-style) ascent on a smooth objective, with the
-step size halved whenever the best objective stalls, so late iterations
-refine instead of oscillating.  Everything is deterministic given
-(objective, start point, config); restarts draw their perturbations
-from a seeded generator.
+Fixed-step Adam ascent (Kingma & Ba, ICLR 2015) on a smooth objective,
+run to the iteration cap; the best iterate seen is the result.
+Everything is deterministic given (objective, start point, config);
+restarts draw their perturbations from a seeded generator.
 """
 
 from __future__ import annotations
@@ -14,26 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# halve the live step after this many iterations without a new best
-_STALL_HALVE = 6
-_STEP_FLOOR_FACTOR = 1e-12
+# Adam's first- and second-moment decays and its denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+# restarts perturb each start coordinate by up to +-20 % (relative)
+RESTART_SCALE = 0.2
 
 
 @dataclass(frozen=True)
 class OptConfig:
     max_iterations: int = 500
     step: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    tol: float = 1e-7        # relative objective change ...
-    tol_window: int = 10     # ... over this many iterations
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.step <= 0:
             raise ValueError("need max_iterations >= 1 and step > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("moment decays must lie in [0, 1)")
 
 
 @dataclass
@@ -59,9 +54,8 @@ def maximize(fun, x0, config: OptConfig = OptConfig()):
     """Maximize ``fun(x) -> (value, gradient)`` from x0.
 
     Returns ``(x_best, trace)`` where x_best is the best iterate seen.
-    Terminates on the iteration cap, on the relative objective change
-    over ``tol_window`` iterations dropping below ``tol``, or on a
-    non-finite objective (the last finite best is returned).
+    Terminates on the iteration cap or on a non-finite objective (the
+    last finite best is returned).
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or not np.all(np.isfinite(x)):
@@ -72,57 +66,29 @@ def maximize(fun, x0, config: OptConfig = OptConfig()):
         raise ValueError(f"objective is not finite at the start point ({f})")
     g = np.asarray(g, dtype=float)
 
-    trace = OptTrace(objectives=[f])
+    trace = OptTrace(objectives=[f], termination="max_iterations")
     best_f, best_x = f, x.copy()
-    best_history = [best_f]
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    live_step = config.step
-    stall = 0
-    t = 0
-    termination = "max_iterations"
 
-    while t < config.max_iterations:
-        t += 1
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        mhat = m / (1.0 - config.beta1**t)
-        vhat = v / (1.0 - config.beta2**t)
-        x = x + live_step * mhat / (np.sqrt(vhat) + config.eps)
+    for t in range(1, config.max_iterations + 1):
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        mhat = m / (1.0 - BETA1**t)
+        vhat = v / (1.0 - BETA2**t)
+        x = x + config.step * mhat / (np.sqrt(vhat) + EPS)
 
         f, g = fun(x)
         f = float(f)
         if not np.isfinite(f):
-            termination = "nonfinite"
+            trace.termination = "nonfinite"
             break
         g = np.asarray(g, dtype=float)
         trace.objectives.append(f)
 
         if f > best_f:
             best_f, best_x = f, x.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_HALVE:
-                live_step *= 0.5
-                m[:] = 0.0
-                v[:] = 0.0
-                stall = 0
-                if live_step < _STEP_FLOOR_FACTOR * config.step:
-                    termination = "converged"
-                    break
-        best_history.append(best_f)
 
-        if len(best_history) > config.tol_window:
-            gain = best_history[-1] - best_history[-1 - config.tol_window]
-            # zero gain means the search is oscillating, not converged;
-            # the stall logic keeps halving the step until either real
-            # progress resumes or the step floor ends the run
-            if 0.0 < gain <= config.tol * (1.0 + abs(best_history[-1])):
-                termination = "converged"
-                break
-
-    trace.termination = termination
     trace.n_iterations = t
     return best_x, trace
 
@@ -145,27 +111,21 @@ def fd_gradient(fun, x, step: float = 1e-5) -> np.ndarray:
 
 
 def maximize_restarts(fun, x0, config: OptConfig = OptConfig(),
-                      n_restarts: int = 3, scale: float = 0.2, seed: int = 0):
+                      n_restarts: int = 3, seed: int = 0):
     """Run ``maximize`` from x0 and from seeded perturbations of it.
 
-    Restart k >= 1 starts at x0 + log(U(1-scale, 1+scale)) per
-    coordinate (a +-scale relative perturbation of the underlying
+    Restart k >= 1 starts at x0 + log(U(1-s, 1+s)) per coordinate, with
+    s = RESTART_SCALE (a +-s relative perturbation of the underlying
     positive parameters).  Returns (x_best, trace_best, all_traces).
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(seed)
-    best = None
-    traces = []
-    for k in range(n_restarts):
-        if k == 0:
-            start = x0
-        else:
-            start = x0 + np.log(rng.uniform(1.0 - scale, 1.0 + scale, len(x0)))
-        xk, trace = maximize(fun, start, config)
-        traces.append(trace)
-        fk = max(trace.objectives)
-        if best is None or fk > best[0]:
-            best = (fk, xk, trace)
-    return best[1], best[2], traces
+    lo, hi = 1.0 - RESTART_SCALE, 1.0 + RESTART_SCALE
+    starts = [x0] + [x0 + np.log(rng.uniform(lo, hi, len(x0)))
+                     for _ in range(n_restarts - 1)]
+    runs = [maximize(fun, start, config) for start in starts]
+    # max keeps the first of equal bests, so earlier restarts win ties
+    x_best, best = max(runs, key=lambda run: max(run[1].objectives))
+    return x_best, best, [trace for _, trace in runs]

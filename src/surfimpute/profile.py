@@ -21,6 +21,10 @@ from .errors import (
 
 # 50 % transmission constant of the Gaussian profile filter
 FILTER_ALPHA = math.sqrt(math.log(2.0) / math.pi)
+# Rsm hysteresis bands sit at mean +- RSM_HYSTERESIS * Rq
+RSM_HYSTERESIS = 0.1
+# largest deviation of an abscissa step from the mean step, relative
+GRID_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,10 @@ class Profile:
         return Profile(self.grid, z, None, x=self.x)
 
 
-def profile_from_arrays(x, z, valid=None, rel_tol: float = 1e-6) -> Profile:
+def profile_from_arrays(x, z, valid=None) -> Profile:
     """Build a profile from an explicit abscissa vector.
 
-    The vector must be uniformly increasing within ``rel_tol`` of its
+    The vector must be uniformly increasing within ``GRID_REL_TOL`` of its
     mean spacing; the exact values are kept alongside the fitted grid.
     """
     x = np.asarray(x, dtype=float)
@@ -158,7 +162,7 @@ def profile_from_arrays(x, z, valid=None, rel_tol: float = 1e-6) -> Profile:
     dx = float(np.mean(steps))
     if dx <= 0 or np.any(steps <= 0):
         raise ValueError("abscissa must be strictly increasing")
-    if np.max(np.abs(steps - dx)) > rel_tol * dx:
+    if np.max(np.abs(steps - dx)) > GRID_REL_TOL * dx:
         raise ValueError("abscissa is not a uniform grid")
     grid = Grid1D(float(x[0]), dx, len(x))
     return Profile(grid, z, valid, x=x)
@@ -210,23 +214,21 @@ def rq(profile: Profile) -> float:
     return float(np.sqrt(np.mean((z - np.mean(z)) ** 2)))
 
 
-def rsm(profile: Profile, hysteresis: float = 0.1) -> float:
+def rsm(profile: Profile) -> float:
     """Mean spacing of profile elements at the mean line (mm).
 
     An element boundary is an upward mean-line crossing; a crossing
     qualifies only after the profile has visited both hysteresis bands
-    (mean +- ``hysteresis``*Rq) since the previous qualified crossing,
+    (mean +- ``RSM_HYSTERESIS``*Rq) since the previous qualified crossing,
     which suppresses noise-scale elements.  Operates on the valid
     subsequence.
     """
-    if not 0.0 <= hysteresis < 1.0:
-        raise ValueError(f"hysteresis fraction out of range: {hysteresis}")
     xv = profile.valid_x()
     zv = profile.valid_z()
     if len(zv) < 2:
         raise NoProfileElementsError("too few valid points for Rsm")
     m = float(np.mean(zv))
-    h = hysteresis * rq(profile)
+    h = RSM_HYSTERESIS * rq(profile)
     crossings = []
     seen_high = seen_low = False
     for i in range(len(zv) - 1):

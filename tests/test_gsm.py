@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import multivariate_normal
 
@@ -195,6 +197,18 @@ def test_gsm_model_validation():
         GsmModel(w=m.w, lam=m.lam, f=m.w, noise_sigma2=0.05)
     with pytest.raises(ValueError):
         GsmModel(w=m.w, lam=m.lam, f=m.f, noise_sigma2=-1.0)
+
+
+def test_gsm_model_requires_log_weight_and_lengthscale():
+    # the objective maps w and lambda by exp; a logit latent there would
+    # fit a different kernel from the one cov_matrix evaluates
+    m = small_model()
+    logit_w = replace(m.w, transform="logit", scale=2.0)
+    logit_lam = replace(m.lam, transform="logit", scale=2.0)
+    with pytest.raises(ValueError):
+        GsmModel(w=logit_w, lam=m.lam, f=m.f, noise_sigma2=0.05)
+    with pytest.raises(ValueError):
+        GsmModel(w=m.w, lam=logit_lam, f=m.f, noise_sigma2=0.05)
 
 
 def test_gsm_cov_constant_latents_reduce_to_stationary():
@@ -415,6 +429,22 @@ def test_load_gsm_errors(tmp_path):
             load_gsm(write("value.txt", "\n".join(bad)))
         assert err.value.line == at + 1
 
+    # values that parse but describe no valid latent: an unknown
+    # transform names its line, the rest name the latent
+    def replaced(key, value):
+        return "\n".join(f"{key} = {value}" if l.startswith(key + " ") else l
+                         for l in lines)
+
+    at = next(i for i, l in enumerate(lines)
+              if l.startswith("latent_w.transform "))
+    with pytest.raises(ConfigError) as err:
+        load_gsm(write("affine.txt", replaced("latent_w.transform", "affine")))
+    assert err.value.line == at + 1
+    with pytest.raises(ConfigError, match="latent_w"):
+        load_gsm(write("order.txt", replaced("latent_w.x", "0,1,0.5")))
+    with pytest.raises(ConfigError, match="latent_w"):
+        load_gsm(write("ubar.txt", replaced("latent_w.ubar", "0,1")))
+
 
 def test_make_gsm_model_structure():
     g = make_grid(0.0, 0.01, 101)
@@ -440,3 +470,33 @@ def test_make_gsm_model_validation():
         make_gsm_model(profile, wavelength_left=-0.1, wavelength_right=0.2)
     with pytest.raises(ValueError):
         make_gsm_model(profile, rq0=0.0)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_positive = st.floats(1e-6, 1e6, allow_nan=False)
+
+
+@st.composite
+def gsm_models(draw):
+    p = draw(st.integers(1, 4))
+    x_l = np.cumsum(draw(st.lists(_positive, min_size=p, max_size=p)))
+
+    def spec(transform, scale=1.0):
+        ubar = draw(st.lists(_finite, min_size=p, max_size=p))
+        return LatentFunctionSpec(x_l, ubar, draw(_finite),
+                                  SEParams(draw(_positive), draw(_positive)),
+                                  transform, scale)
+
+    return GsmModel(w=spec("log"), lam=spec("log"),
+                    f=spec("logit", draw(_positive)),
+                    noise_sigma2=draw(_positive))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=gsm_models())
+def test_save_load_save_is_byte_identical(model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("gsm") / "model.txt"
+    save_gsm(model, path)
+    first = path.read_bytes()
+    save_gsm(load_gsm(path), path)
+    assert path.read_bytes() == first

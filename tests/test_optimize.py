@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfimpute import OptConfig
-from surfimpute.optimize import fd_gradient, maximize, maximize_restarts
+from surfimpute.optimize import EPS, fd_gradient, maximize, maximize_restarts
 
 
 def neg_quadratic_1d(x):
@@ -21,7 +21,7 @@ def test_maximize_finds_1d_optimum():
     x, trace = maximize(neg_quadratic_1d, np.array([0.0]),
                         OptConfig(max_iterations=2000, step=0.05))
     assert abs(x[0] - 3.0) < 1e-3
-    assert trace.termination in ("converged", "max_iterations")
+    assert trace.termination == "max_iterations"
 
 
 def test_best_so_far_monotone():
@@ -73,7 +73,31 @@ def test_maximize_survives_nonfinite_mid_run():
 
     x, trace = maximize(fun, np.array([0.0]), OptConfig(max_iterations=300, step=0.2))
     assert np.isfinite(max(trace.objectives))
-    assert trace.termination in ("nonfinite", "converged", "max_iterations")
+    assert trace.termination == "nonfinite"
+
+
+def test_flat_objective_keeps_a_fixed_step_to_the_cap():
+    # no iterate ever improves on the start, yet every step stays full:
+    # the step never shrinks and the run ends only at the cap
+    g = np.array([0.5, -2.0, 1e-3])
+    cap = 40
+    cfg = OptConfig(max_iterations=cap, step=0.05)
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return 0.0, g
+
+    x, trace = maximize(fun, np.zeros(3), cfg)
+    moves = np.diff(np.array(seen), axis=0)
+    assert moves.shape == (cap, 3)
+    expected = cfg.step * g / (np.abs(g) + EPS)
+    np.testing.assert_allclose(moves, np.broadcast_to(expected, moves.shape),
+                               rtol=1e-12, atol=0.0)
+    assert trace.n_iterations == cap
+    assert len(trace.objectives) == cap + 1
+    assert trace.termination == "max_iterations"
+    assert np.array_equal(x, np.zeros(3))
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -92,8 +116,6 @@ def test_config_validation():
         OptConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptConfig(step=0.0)
-    with pytest.raises(ValueError):
-        OptConfig(beta1=1.0)
 
 
 def test_fd_gradient_linear():
@@ -108,7 +130,7 @@ def test_fd_gradient_quadratic():
 
 def test_quadratic_gradient_norm_small_at_convergence():
     rng = np.random.default_rng(1)
-    cfg = OptConfig(max_iterations=20000, step=0.02, tol=1e-13)
+    cfg = OptConfig(max_iterations=20000, step=0.02)
     for _ in range(5):
         m = rng.standard_normal((3, 3))
         a = m @ m.T + 0.5 * np.eye(3)
