@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -33,9 +34,13 @@ from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower
 from .gp import chol_jittered, estimate_noise_variance  # noqa: F401
 from .io import _fmt, parse_config
 from .kernels import (
+    TWO_PI,
     NoiseParams,
     PointwiseLatents,
     SEParams,
+    _gibbs_terms,
+    _gsm_from_terms,
+    _gsm_quadrature,
     build_cov,
     grad_on_lags,
     gsm_cov,
@@ -104,6 +109,10 @@ def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
     relative diagonal jitter of LATENT_JITTER times its variance."""
     k = build_cov(se, x_l)
     k[np.diag_indices_from(k)] += LATENT_JITTER * se.sigma2
+    # a lengthscale whose square underflows gives 0/0 entries, which
+    # numpy's Cholesky passes through as a NaN factor
+    if not np.all(np.isfinite(k)):
+        raise NotPositiveDefiniteError("latent prior is not finite")
     try:
         return np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
@@ -191,6 +200,10 @@ def log_posterior(model: GsmModel, dataset: SurfaceDataset) -> float:
 # MAP fitting
 
 
+# the objective checks its inputs and its gradient for finiteness itself
+_solve_triangular = partial(scipy.linalg.solve_triangular, check_finite=False)
+
+
 def _phi_lower_half(s: np.ndarray) -> np.ndarray:
     """Lower-triangular half-diagonal projector used in Cholesky
     differentiation: dL = L Phi(L^-1 dK L^-T)."""
@@ -202,7 +215,22 @@ def _phi_lower_half(s: np.ndarray) -> np.ndarray:
 class _GsmObjective:
     """log_posterior and its analytic gradient as a function of the
     optimization vector [v_w, v_lam, v_f, log sigma_n^2,
-    (log sigma_k^2, log theta_k) x 3]."""
+    (log sigma_k^2, log theta_k) x 3].
+
+    With phi = 2 pi f(x) x, wc = w cos phi and ws = w sin phi, the
+    profile covariance is K = G o (wc wc^T + ws ws^T) (o elementwise,
+    G the Gibbs matrix), so no trigonometric function is evaluated per
+    matrix entry.  With M = alpha alpha^T - A^-1 and P = (M o G) [wc ws],
+    the per-point sensitivities s_h = rowsum(M o dK/du_h) of the latent
+    values are
+
+        s_w   = wc P_0 + ws P_1
+        s_f   = -2 pi x df/du (ws P_0 - wc P_1)
+        s_lam = s_w / 2 + lam^2 rowsum(M o K o (2 sq/d - 1) / d),
+
+    with sq the squared lags and d = lam(x)^2 + lam(x')^2, and the log
+    noise variance gets sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
+    """
 
     def __init__(self, model0: GsmModel, dataset: SurfaceDataset):
         self.model0 = model0
@@ -225,8 +253,11 @@ class _GsmObjective:
 
     def split(self, raw: np.ndarray):
         p = self.p
+        if np.shape(raw) != (3 * p + 7,):
+            raise ValueError(f"expected {3 * p + 7} optimization coordinates, "
+                             f"got shape {np.shape(raw)}")
         vs = [raw[i * p : (i + 1) * p] for i in range(3)]
-        sigma_n2 = math.exp(raw[3 * p])
+        sigma_n2 = float(np.exp(raw[3 * p]))
         hyps = np.exp(raw[3 * p + 1 :]).reshape(3, 2)
         return vs, sigma_n2, hyps
 
@@ -240,26 +271,29 @@ class _GsmObjective:
                         noise_sigma2=sigma_n2)
 
     def __call__(self, raw: np.ndarray):
-        # any numerical blow-up (overflowing log-hyperparameters, inf/nan
-        # reaching a solver) counts as a non-finite objective so the
-        # optimizer terminates instead of crashing
+        # _evaluate returns -inf for non-finite coordinates,
+        # hyperparameters, covariance or gradient; a factorization that
+        # fails on a finite matrix is -inf too, so the optimizer stops
+        # there.  Any other error is a fault and propagates.
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 return self._evaluate(raw)
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError,
-                NotPositiveDefiniteError):
+        except (NotPositiveDefiniteError, np.linalg.LinAlgError):
             return -np.inf, np.zeros_like(raw)
 
     def _evaluate(self, raw: np.ndarray):
         p = self.p
         xa, za = self.xa, self.za
         vs, sigma_n2, hyps = self.split(raw)
+        rejected = -np.inf, np.zeros_like(raw)
+        if not (np.all(np.isfinite(raw)) and 0.0 < sigma_n2 < math.inf
+                and np.all((hyps > 0.0) & (hyps < math.inf))):
+            return rejected
 
         # latent layer: u_h(xa) = mean_h + K_xL L^-T v_h per latent
         ses = [SEParams(s2, th) for s2, th in hyps]
         facs = [_latent_factor(se, spec.x_l) for se, spec in zip(ses, self.specs0)]
-        rs = [scipy.linalg.solve_triangular(fac.T, v, lower=False)
-              for fac, v in zip(facs, vs)]
+        rs = [_solve_triangular(fac.T, v, lower=False) for fac, v in zip(facs, vs)]
         k_xls = [value_on_lags(se, t_xl) for se, t_xl in zip(ses, self.t_xls)]
         devs = [k_xl @ r for k_xl, r in zip(k_xls, rs)]
         us = [spec.mean + dev for spec, dev in zip(self.specs0, devs)]
@@ -268,59 +302,65 @@ class _GsmObjective:
         lam = np.exp(us[1])
         s_f = expit(us[2])
         f_nyq = self.model0.f.scale
-        f = f_nyq * s_f
 
         # profile covariance and likelihood
-        lam2 = lam * lam
-        d = lam2[:, None] + lam2[None, :]
-        g = np.sqrt(2.0 * np.outer(lam, lam) / d) * np.exp(-self.sq / d)
-        phase = 2.0 * np.pi * f * xa
-        arg = phase[:, None] - phase[None, :]
-        wg = np.outer(w, w) * g
-        k = wg * np.cos(arg)
+        g, inv_d, sq_d = _gibbs_terms(self.sq, lam, lam)
+        wc, ws = q = _gsm_quadrature(xa, w, f_nyq * s_f)
+        k = _gsm_from_terms(g, q, q)
         a = k.copy()
         a[np.diag_indices_from(a)] += sigma_n2
+        if not np.all(np.isfinite(a)):
+            return rejected
         fac_a, alpha, value = _gaussian_core(a, za)
         for v in vs:
             value += -0.5 * v @ v - 0.5 * p * LOG_2PI
         if not np.isfinite(value):
-            return -np.inf, np.zeros_like(raw)
+            return rejected
 
-        inv = _inverse_lower(fac_a)
-        inv += np.tril(inv, -1).T
-        m = np.outer(alpha, alpha) - inv
+        # drop A and its factor before the next n x n buffers are made,
+        # and let M overwrite A^-1: every fresh buffer costs page faults
+        del a
+        m = _inverse_lower(fac_a)
+        del fac_a
+        m += np.tril(m, -1).T
+        tr_inv = np.trace(m)
+        np.subtract(np.outer(alpha, alpha), m, out=m)
 
         # per-point sensitivities s_h[k] = sum_j M_kj dK_kj/du_h(x_k)
-        r_lam = k * (0.5 - lam2[:, None] / d + 2.0 * self.sq * lam2[:, None] / (d * d))
-        sin_arg = np.sin(arg)
+        g *= m  # M o G from here on
+        pc, ps = (g @ np.column_stack(q)).T
+        s_w = wc * pc + ws * ps
         df = f_nyq * s_f * (1.0 - s_f)  # df/du at each point
-        r_f = -wg * sin_arg * (2.0 * np.pi * xa * df)[:, None]
+        sq_d *= 2.0  # becomes (2 sq/d - 1) / d
+        sq_d -= 1.0
+        sq_d *= inv_d
+        m *= k  # M o K from here on
         sens = [
-            np.einsum("ij,ij->i", m, k),
-            np.einsum("ij,ij->i", m, r_lam),
-            np.einsum("ij,ij->i", m, r_f),
+            s_w,
+            0.5 * s_w + lam * lam * np.einsum("ij,ij->i", m, sq_d),
+            -TWO_PI * xa * df * (ws * pc - wc * ps),
         ]
 
         grad = np.empty_like(raw)
-        grad[3 * p] = 0.5 * sigma_n2 * np.trace(m)
+        grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - tr_inv)
         for h, (spec, se, fac) in enumerate(zip(self.specs0, ses, facs)):
             y = k_xls[h].T @ sens[h]
             grad[h * p : (h + 1) * p] = (
-                scipy.linalg.solve_triangular(fac, y, lower=True) - vs[h]
+                _solve_triangular(fac, y, lower=True) - vs[h]
             )
             # log sigma_k^2: the jitter is relative, so u - mean scales
             # as sqrt(sigma_k^2) and du = (u - mean) / 2
             grad[3 * p + 1 + 2 * h] = 0.5 * sens[h] @ devs[h]
             # log theta_k: through the interpolation and the factor
-            s_mat = scipy.linalg.solve_triangular(
-                fac, kernel_grad(se, spec.x_l, 1), lower=True
-            )
-            s_mat = scipy.linalg.solve_triangular(fac, s_mat.T, lower=True).T
+            s_mat = _solve_triangular(fac, kernel_grad(se, spec.x_l, 1), lower=True)
+            s_mat = _solve_triangular(fac, s_mat.T, lower=True).T
             dl_t_r = _phi_lower_half(s_mat).T @ (fac.T @ rs[h])
-            t2 = scipy.linalg.solve_triangular(fac.T, dl_t_r, lower=False)
+            t2 = _solve_triangular(fac.T, dl_t_r, lower=False)
             du = grad_on_lags(se, 1, self.t_xls[h]) @ rs[h] - k_xls[h] @ t2
             grad[3 * p + 2 + 2 * h] = sens[h] @ du
 
+        if not np.all(np.isfinite(grad)):
+            return rejected
         return float(value), grad
 
 

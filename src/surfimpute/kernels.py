@@ -3,9 +3,10 @@
 All kernels are strictly real-valued.  Positions are mm, heights um,
 so variances are um^2, frequencies 1/mm, frequency variances 1/mm^2.
 
-Same-set covariance matrices are built from the absolute lag (or the
-absolute cosine argument), which makes them bitwise symmetric: IEEE
-negation is exact and every factor is an even function of the lag.
+Same-set covariance matrices are bitwise symmetric.  Stationary ones
+are built from the absolute lag (IEEE negation is exact and every
+factor is an even function of the lag); the Gibbs and GSM ones from
+sums and products of a point's and its partner's values, which commute.
 
 Hyperparameter gradients are taken with respect to the unconstrained
 log-space representation used by the optimizer; ``raw_vector`` /
@@ -264,29 +265,58 @@ def grad_on_lags(kernel, index: int, t: np.ndarray) -> np.ndarray:
     raise TypeError(f"{type(kernel).__name__} has no stationary lag form")
 
 
+def _gibbs_terms(sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray):
+    """Gibbs matrix (unit variance) on squared lags ``sq``, with 1/d and
+    sq/d (d = lam_x^2 + lam_y^2), which its lengthscale derivatives reuse."""
+    inv_d = np.add.outer(lam_x * lam_x, lam_y * lam_y)
+    np.reciprocal(inv_d, out=inv_d)
+    sq_d = sq * inv_d
+    g = np.outer(2.0 * lam_x, lam_y)
+    g *= inv_d
+    np.sqrt(g, out=g)
+    e = np.negative(sq_d)
+    np.exp(e, out=e)
+    g *= e
+    return g, inv_d, sq_d
+
+
+def _gsm_quadrature(xs: np.ndarray, w: np.ndarray, f: np.ndarray):
+    """(w cos phi, w sin phi) with phi = 2 pi f x.  The GSM factor
+    w(x) w(x') cos(phi - phi') is the sum of their two outer products."""
+    phase = TWO_PI * f * xs
+    return w * np.cos(phase), w * np.sin(phase)
+
+
+def _gsm_from_terms(g: np.ndarray, qx, qy) -> np.ndarray:
+    """G o (cx cy^T + sx sy^T): the GSM matrix from its Gibbs matrix and
+    the ``_gsm_quadrature`` pairs qx = (cx, sx) and qy = (cy, sy)."""
+    k = np.outer(qx[0], qy[0])
+    k += np.outer(qx[1], qy[1])
+    k *= g
+    return k
+
+
 def gibbs_cov(xs, ys, lam_x, lam_y) -> np.ndarray:
     """Gibbs kernel matrix for pointwise lengthscales (unit variance)."""
     xs = _as_points(xs)
     ys = _as_points(ys)
     lam_x = np.asarray(lam_x, dtype=float)
     lam_y = np.asarray(lam_y, dtype=float)
-    d = (lam_x * lam_x)[:, None] + (lam_y * lam_y)[None, :]
-    sq = (xs[:, None] - ys[None, :]) ** 2
-    return np.sqrt(2.0 * np.outer(lam_x, lam_y) / d) * np.exp(-sq / d)
+    return _gibbs_terms((xs[:, None] - ys[None, :]) ** 2, lam_x, lam_y)[0]
 
 
 def gsm_cov(xs, ys, lat_x: PointwiseLatents, lat_y: PointwiseLatents) -> np.ndarray:
     """Generalized spectral mixture matrix (single component).
 
-    k(x, x') = w(x) w(x') k_gibbs(x, x'; lambda) cos(2 pi (f(x) x - f(x') x'))
+    k(x, x') = w(x) w(x') k_gibbs(x, x'; lambda) cos(2 pi (f(x) x - f(x') x')),
+    with the cosine of the phase difference expanded into a rank-two
+    sum, so no trigonometric function is evaluated per matrix entry.
     """
     xs = _as_points(xs)
     ys = _as_points(ys)
-    g = gibbs_cov(xs, ys, lat_x.lam, lat_y.lam)
-    px = TWO_PI * lat_x.f * xs
-    py = TWO_PI * lat_y.f * ys
-    c = np.cos(np.abs(px[:, None] - py[None, :]))
-    return np.outer(lat_x.w, lat_y.w) * g * c
+    return _gsm_from_terms(gibbs_cov(xs, ys, lat_x.lam, lat_y.lam),
+                           _gsm_quadrature(xs, lat_x.w, lat_x.f),
+                           _gsm_quadrature(ys, lat_y.w, lat_y.f))
 
 
 def build_cov(kernel, xs, ys=None) -> np.ndarray:

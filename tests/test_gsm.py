@@ -323,6 +323,46 @@ def test_objective_gradient_matches_finite_differences():
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
 
+def chirp_scale_model(p=6, seed=0, noise=0.02):
+    """Latents on the chirp grid's 0.03 mm span under its 5000/mm Nyquist
+    scale, with f at 0.3-0.7 of Nyquist: phases 2 pi f x reach several
+    hundred radians, as they do in the chirp study."""
+    rng = np.random.default_rng(seed)
+    x_l = np.linspace(0.0, 0.03, p)
+    w = latent(0.2 * rng.standard_normal(p), theta=0.0075, x_l=x_l)
+    lam = latent(math.log(2e-3) + 0.1 * rng.standard_normal(p),
+                 mean=math.log(2e-3), theta=0.0075, x_l=x_l)
+    f = latent(0.3 * rng.standard_normal(p), theta=0.0075,
+               transform="logit", scale=5000.0, x_l=x_l)
+    return GsmModel(w=w, lam=lam, f=f, noise_sigma2=noise)
+
+
+def test_objective_at_chirp_phases_matches_log_posterior_and_fd():
+    model = chirp_scale_model(seed=30)
+    rng = np.random.default_rng(31)
+    xa = np.linspace(0.0, 0.03, 24)
+    ds = dataset_on(xa, rng.standard_normal(24))
+    obj = gsm_objective(model, ds)
+    x0 = obj.pack(model)
+    assert 2.0 * np.pi * np.max(model.latents_at(xa).f * xa) > 300.0
+    for point in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
+        value, grad = obj(point)
+        want = log_posterior(obj.unpack(point), ds)
+        assert abs(value - want) < 1e-9 * max(1.0, abs(want))
+        fd = fd_gradient(lambda x: obj(x)[0], point)
+        scale = np.maximum(np.abs(fd), np.maximum(np.abs(grad), 1e-6))
+        assert np.max(np.abs(grad - fd) / scale) < 1e-4
+
+
+def test_objective_rejects_a_vector_of_the_wrong_length():
+    model = small_model(p=5, seed=12)
+    obj = gsm_objective(model, dataset_on(np.linspace(0.0, 1.0, 8), np.zeros(8)))
+    x0 = obj.pack(model)
+    assert np.isfinite(obj(x0)[0])
+    with pytest.raises(ValueError, match="optimization coordinates"):
+        obj(np.append(x0, 0.0))
+
+
 def test_objective_pack_unpack_round_trip():
     model = small_model(p=5, seed=16, noise=0.07)
     ds = dataset_on(np.linspace(0.0, 1.0, 6),

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfimpute.kernels import (
     NoiseParams,
@@ -195,6 +198,47 @@ def test_gibbs_cov_matches_scalar():
     for i in range(9):
         for j in range(9):
             assert abs(m[i, j] - k_gibbs(xs[i], xs[j], lam[i], lam[j])) < 1e-14
+
+
+def test_gsm_cov_matches_scalar_at_chirp_phases():
+    # the chirp grid: a 0.03 mm span under a 5000/mm Nyquist frequency,
+    # so 2 pi f x reaches several hundred radians
+    rng = np.random.default_rng(88)
+
+    def points_and_latents(n):
+        return np.sort(rng.uniform(0.0, 0.03, n)), PointwiseLatents(
+            rng.uniform(0.5, 2.0, n), rng.uniform(1e-3, 4e-3, n),
+            rng.uniform(1500.0, 4500.0, n))
+
+    xs, lat_x = points_and_latents(15)
+    ys, lat_y = points_and_latents(11)
+    assert 2.0 * np.pi * np.max(lat_x.f * xs) > 300.0
+    for a, la, b, lb in ((xs, lat_x, xs, lat_x), (xs, lat_x, ys, lat_y)):
+        m = gsm_cov(a, b, la, lb)
+        want = np.array([[k_gsm(a[i], b[j], la.w[i], lb.w[j], la.lam[i],
+                                lb.lam[j], la.f[i], lb.f[j])
+                          for j in range(len(b))] for i in range(len(a))])
+        assert np.max(np.abs(m - want) / np.outer(la.w, lb.w)) < 1e-12
+    same = gsm_cov(xs, xs, lat_x, lat_x)
+    assert np.array_equal(same, same.T)
+
+
+def _gsm_grids():
+    """A span, then n unit positions, w, lambda / span and f * span."""
+    return st.tuples(st.floats(1e-3, 10.0), st.integers(2, 40)).flatmap(
+        lambda sn: st.tuples(
+            st.just(sn[0]),
+            *(arrays(float, sn[1], elements=st.floats(lo, hi))
+              for lo, hi in ((0.0, 1.0), (0.1, 10.0), (0.01, 1.0), (0.0, 50.0)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gsm_grids())
+def test_gsm_cov_is_psd_on_random_grids(grid):
+    span, u, w, lam, f = grid
+    lat = PointwiseLatents(w, span * lam, f / span)
+    m = gsm_cov(span * u, span * u, lat, lat)
+    assert np.linalg.eigvalsh(m)[0] >= -1e-10 * np.trace(m)
 
 
 def test_sm_spectrum_peaks_at_component_frequency():
