@@ -82,8 +82,12 @@ def _gaussian_core(a: np.ndarray, y: np.ndarray):
 
 def _inverse_lower(fac: np.ndarray) -> np.ndarray:
     """Lower triangle of A^-1 = (L L^T)^-1 by LAPACK potri; the strict
-    upper triangle is zero, as it is in the factors chol_jittered gives."""
-    inv, info = scipy.linalg.lapack.dpotri(fac.T, lower=0)
+    upper triangle is zero, as it is in the factors chol_jittered gives.
+
+    Overwrites ``fac``: for the C-ordered factors chol_jittered gives,
+    potri runs in place and the result is a view of fac's memory.
+    """
+    inv, info = scipy.linalg.lapack.dpotri(fac.T, lower=0, overwrite_c=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"factor is singular at pivot {info}")
     if info < 0:
@@ -271,6 +275,9 @@ class _GridMllObjective:
     twice the lower-triangle sum at lag > 0, the diagonal at lag 0.  For
     A^-1 that is one bincount of the potri triangle; for alpha alpha^T
     it is the autocorrelation of alpha placed on the grid.
+
+    The objective owns its work buffers (A and the gathered triangle of
+    A^-1), so one instance must not be called from two threads at once.
     """
 
     def __init__(self, dataset: SurfaceDataset, dx: float, kernel0, noise0):
@@ -279,12 +286,17 @@ class _GridMllObjective:
         self.nk = n_params(kernel0)
         self.za = dataset.za
         idx = dataset.idx_a
-        self.lag_idx = np.abs(idx[:, None] - idx[None, :]).astype(np.int32)
+        n = len(idx)
+        # intp indices: np.take and np.bincount would convert others per call
+        self.lag_idx = np.abs(idx[:, None] - idx[None, :]).astype(np.intp)
         self.n_lags = int(idx[-1] - idx[0]) + 1
         self.tau = np.arange(self.n_lags, dtype=float) * dx
         self.grid_pos = idx - idx[0]
-        self.lower = np.tri(len(idx), dtype=bool)
-        self.lower_lags = self.lag_idx[self.lower]
+        # flat positions of the lower triangle, in row-major order
+        self.lower_flat = np.flatnonzero(np.tri(n, dtype=bool))
+        self.lower_lags = self.lag_idx.reshape(-1)[self.lower_flat]
+        self._a = np.empty((n, n))
+        self._inv_low = np.empty(len(self.lower_flat))
 
     def split(self, raw):
         kernel = with_raw_vector(self.kernel0, raw[: self.nk])
@@ -302,12 +314,15 @@ class _GridMllObjective:
 
     def __call__(self, raw):
         kernel, noise = self.split(raw)
-        a = self.table(kernel, noise)[self.lag_idx]
+        # mode "clip" writes straight into out (the default buffers it);
+        # every index is in range by construction
+        a = np.take(self.table(kernel, noise), self.lag_idx, out=self._a, mode="clip")
         fac, alpha, value = _gaussian_core(a, self.za)
         on_grid = np.zeros(self.n_lags)
         on_grid[self.grid_pos] = alpha
         by_lag = np.correlate(on_grid, on_grid, "full")[self.n_lags - 1 :]
-        inv_low = _inverse_lower(fac)[self.lower]
+        inv_low = np.take(_inverse_lower(fac), self.lower_flat, out=self._inv_low,
+                          mode="clip")
         by_lag -= np.bincount(self.lower_lags, inv_low, minlength=self.n_lags)
         by_lag[1:] *= 2.0
         g = np.empty(len(raw))

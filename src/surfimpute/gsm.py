@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from .errors import (
@@ -38,14 +38,13 @@ from .kernels import (
     NoiseParams,
     PointwiseLatents,
     SEParams,
+    _abs_lag,
     _gibbs_terms,
     _gsm_from_terms,
     _gsm_quadrature,
+    _se_on_squares,
     build_cov,
-    grad_on_lags,
     gsm_cov,
-    kernel_grad,
-    value_on_lags,
 )
 from .optimize import OptConfig, maximize
 from .profile import Profile, SurfaceDataset, rq, rsm
@@ -104,17 +103,24 @@ def _apply_transform(spec: LatentFunctionSpec, u: np.ndarray) -> np.ndarray:
     return spec.scale * expit(u)
 
 
-def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the SE latent prior at x_l, with a
-    relative diagonal jitter of LATENT_JITTER times its variance."""
-    k = build_cov(se, x_l)
+def _sq_lags(xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+    """Squared lags between xs and ys (ys=None: xs itself)."""
+    t = _abs_lag(xs, ys)
+    return t * t
+
+
+def _latent_factor(se: SEParams, sq_l: np.ndarray):
+    """The SE latent prior on the squared lags ``sq_l`` between its
+    locations, with a relative diagonal jitter of LATENT_JITTER times
+    its variance, and that matrix's lower Cholesky factor: ``(K, L)``."""
+    k = _se_on_squares(se.sigma2, se.theta, sq_l)
     k[np.diag_indices_from(k)] += LATENT_JITTER * se.sigma2
     # a lengthscale whose square underflows gives 0/0 entries, which
     # numpy's Cholesky passes through as a NaN factor
     if not np.all(np.isfinite(k)):
         raise NotPositiveDefiniteError("latent prior is not finite")
     try:
-        return np.linalg.cholesky(k)
+        return k, np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "latent prior is not positive definite"
@@ -123,9 +129,8 @@ def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
 
 def whiten(spec: LatentFunctionSpec) -> np.ndarray:
     """Representatives -> isotropic coordinates v = L^-1 (ubar - mean)."""
-    return scipy.linalg.solve_triangular(
-        _latent_factor(spec.se, spec.x_l), spec.ubar - spec.mean, lower=True
-    )
+    _, fac = _latent_factor(spec.se, _sq_lags(spec.x_l))
+    return scipy.linalg.solve_triangular(fac, spec.ubar - spec.mean, lower=True)
 
 
 def unwhiten(spec: LatentFunctionSpec, v) -> LatentFunctionSpec:
@@ -133,14 +138,15 @@ def unwhiten(spec: LatentFunctionSpec, v) -> LatentFunctionSpec:
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.n,):
         raise ValueError(f"expected {spec.n} whitened coordinates")
-    return replace(spec, ubar=spec.mean + _latent_factor(spec.se, spec.x_l) @ v)
+    _, fac = _latent_factor(spec.se, _sq_lags(spec.x_l))
+    return replace(spec, ubar=spec.mean + fac @ v)
 
 
 def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
     """Transformed latent function at query points: noise-free GP
     posterior-mean interpolation of the representatives, then the
     output transform."""
-    fac = _latent_factor(spec.se, spec.x_l)
+    _, fac = _latent_factor(spec.se, _sq_lags(spec.x_l))
     coef = scipy.linalg.cho_solve((fac, True), spec.ubar - spec.mean)
     k_ql = build_cov(spec.se, xq, spec.x_l)
     return _apply_transform(spec, spec.mean + k_ql @ coef)
@@ -200,14 +206,28 @@ def log_posterior(model: GsmModel, dataset: SurfaceDataset) -> float:
 # MAP fitting
 
 
-# the objective checks its inputs and its gradient for finiteness itself
-_solve_triangular = partial(scipy.linalg.solve_triangular, check_finite=False)
+def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(a, b, lower=lower)`` without its
+    wrapper: the same LAPACK trtrs call with the arguments scipy passes,
+    so the result is the same to the bit.  On these small latent systems
+    the wrapper's checks cost more than the solve; the objective checks
+    its inputs and its gradient for finiteness itself."""
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower)
+    else:
+        # trtrs expects Fortran order, so the transposed system is solved
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"dtrtrs: illegal value in argument {-info}")
+    return x
 
 
 def _phi_lower_half(s: np.ndarray) -> np.ndarray:
     """Lower-triangular half-diagonal projector used in Cholesky
     differentiation: dL = L Phi(L^-1 dK L^-T)."""
-    out = np.tril(s).copy()
+    out = np.tril(s)
     np.fill_diagonal(out, 0.5 * np.diagonal(s))
     return out
 
@@ -230,6 +250,11 @@ class _GsmObjective:
 
     with sq the squared lags and d = lam(x)^2 + lam(x')^2, and the log
     noise variance gets sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
+
+    The objective owns its n x n work buffers and writes every matrix
+    of an evaluation into them, so a call allocates nothing n x n
+    beyond the Cholesky factor of A; one instance must not be called
+    from two threads at once.
     """
 
     def __init__(self, model0: GsmModel, dataset: SurfaceDataset):
@@ -239,10 +264,19 @@ class _GsmObjective:
         self.p = model0.w.n
         if not (model0.lam.n == self.p and model0.f.n == self.p):
             raise ValueError("latent functions must share a representative count")
+        n = len(self.xa)
         self.sq = (self.xa[:, None] - self.xa[None, :]) ** 2
         self.specs0 = (model0.w, model0.lam, model0.f)
-        self.t_xls = [np.abs(self.xa[:, None] - spec.x_l[None, :])
-                      for spec in self.specs0]
+        # squared lags among each latent's locations, and from xa to them
+        self.sq_lls = [_sq_lags(spec.x_l) for spec in self.specs0]
+        self.sq_xls = [_sq_lags(self.xa, spec.x_l) for spec in self.specs0]
+        # G (then M o G), 1/d, sq/d (then (2 sq/d - 1) / d), K (then
+        # M o K), A (then M) and a scratch matrix
+        self._g, self._inv_d, self._sq_d, self._k, self._a, self._scratch = (
+            np.empty((n, n)) for _ in range(6)
+        )
+        self._a_diag = self._a.reshape(-1)[:: n + 1]
+        self._finite = np.empty((n, n), dtype=bool)
 
     def pack(self, model: GsmModel) -> np.ndarray:
         parts = [whiten(spec) for spec in (model.w, model.lam, model.f)]
@@ -290,11 +324,13 @@ class _GsmObjective:
                 and np.all((hyps > 0.0) & (hyps < math.inf))):
             return rejected
 
-        # latent layer: u_h(xa) = mean_h + K_xL L^-T v_h per latent
+        # latent layer: u_h(xa) = mean_h + K_xL L^-T v_h per latent; the
+        # log theta derivatives reuse K_LL and K_xL
         ses = [SEParams(s2, th) for s2, th in hyps]
-        facs = [_latent_factor(se, spec.x_l) for se, spec in zip(ses, self.specs0)]
-        rs = [_solve_triangular(fac.T, v, lower=False) for fac, v in zip(facs, vs)]
-        k_xls = [value_on_lags(se, t_xl) for se, t_xl in zip(ses, self.t_xls)]
+        priors = [_latent_factor(se, sq_l) for se, sq_l in zip(ses, self.sq_lls)]
+        rs = [_solve_triangular(fac.T, v, lower=False) for (_, fac), v in zip(priors, vs)]
+        k_xls = [_se_on_squares(se.sigma2, se.theta, sq_xl)
+                 for se, sq_xl in zip(ses, self.sq_xls)]
         devs = [k_xl @ r for k_xl, r in zip(k_xls, rs)]
         us = [spec.mean + dev for spec, dev in zip(self.specs0, devs)]
 
@@ -304,12 +340,15 @@ class _GsmObjective:
         f_nyq = self.model0.f.scale
 
         # profile covariance and likelihood
-        g, inv_d, sq_d = _gibbs_terms(self.sq, lam, lam)
+        g, inv_d, sq_d = _gibbs_terms(
+            self.sq, lam, lam, out=(self._g, self._inv_d, self._sq_d, self._scratch)
+        )
         wc, ws = q = _gsm_quadrature(xa, w, f_nyq * s_f)
-        k = _gsm_from_terms(g, q, q)
-        a = k.copy()
-        a[np.diag_indices_from(a)] += sigma_n2
-        if not np.all(np.isfinite(a)):
+        k = _gsm_from_terms(g, q, q, out=(self._k, self._scratch))
+        a = self._a
+        np.copyto(a, k)
+        self._a_diag += sigma_n2
+        if not np.isfinite(a, out=self._finite).all():
             return rejected
         fac_a, alpha, value = _gaussian_core(a, za)
         for v in vs:
@@ -317,14 +356,14 @@ class _GsmObjective:
         if not np.isfinite(value):
             return rejected
 
-        # drop A and its factor before the next n x n buffers are made,
-        # and let M overwrite A^-1: every fresh buffer costs page faults
-        del a
-        m = _inverse_lower(fac_a)
-        del fac_a
-        m += np.tril(m, -1).T
+        # M overwrites A; potri overwrites the factor with the lower
+        # triangle of A^-1, whose strict upper triangle is zero, so
+        # inv + inv^T is A^-1 once its doubled diagonal is restored
+        inv = _inverse_lower(fac_a)
+        m = np.add(inv, inv.T, out=a)
+        np.copyto(self._a_diag, np.diagonal(inv))
         tr_inv = np.trace(m)
-        np.subtract(np.outer(alpha, alpha), m, out=m)
+        np.subtract(np.multiply.outer(alpha, alpha, out=self._scratch), m, out=m)
 
         # per-point sensitivities s_h[k] = sum_j M_kj dK_kj/du_h(x_k)
         g *= m  # M o G from here on
@@ -343,7 +382,7 @@ class _GsmObjective:
 
         grad = np.empty_like(raw)
         grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - tr_inv)
-        for h, (spec, se, fac) in enumerate(zip(self.specs0, ses, facs)):
+        for h, (se, (k_ll, fac)) in enumerate(zip(ses, priors)):
             y = k_xls[h].T @ sens[h]
             grad[h * p : (h + 1) * p] = (
                 _solve_triangular(fac, y, lower=True) - vs[h]
@@ -351,12 +390,16 @@ class _GsmObjective:
             # log sigma_k^2: the jitter is relative, so u - mean scales
             # as sqrt(sigma_k^2) and du = (u - mean) / 2
             grad[3 * p + 1 + 2 * h] = 0.5 * sens[h] @ devs[h]
-            # log theta_k: through the interpolation and the factor
-            s_mat = _solve_triangular(fac, kernel_grad(se, spec.x_l, 1), lower=True)
+            # log theta_k: through the interpolation and the factor, with
+            # dK/dlog theta = K o sq / theta^2 (K_LL's jitter sits on its
+            # diagonal, where the squared lag is zero)
+            dk_ll = k_ll * self.sq_lls[h] / se.theta**2
+            s_mat = _solve_triangular(fac, dk_ll, lower=True)
             s_mat = _solve_triangular(fac, s_mat.T, lower=True).T
             dl_t_r = _phi_lower_half(s_mat).T @ (fac.T @ rs[h])
             t2 = _solve_triangular(fac.T, dl_t_r, lower=False)
-            du = grad_on_lags(se, 1, self.t_xls[h]) @ rs[h] - k_xls[h] @ t2
+            dk_xl = k_xls[h] * self.sq_xls[h] / se.theta**2
+            du = dk_xl @ rs[h] - k_xls[h] @ t2
             grad[3 * p + 2 + 2 * h] = sens[h] @ du
 
         if not np.all(np.isfinite(grad)):

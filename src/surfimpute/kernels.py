@@ -184,7 +184,12 @@ def _abs_lag(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
 
 
 def _se_like(sigma2: float, theta: float, t: np.ndarray) -> np.ndarray:
-    return sigma2 * np.exp(-(t * t) / (2.0 * theta * theta))
+    return _se_on_squares(sigma2, theta, t * t)
+
+
+def _se_on_squares(sigma2: float, theta: float, sq: np.ndarray) -> np.ndarray:
+    """SE values on squared lags, for callers that keep the squares."""
+    return sigma2 * np.exp(-sq / (2.0 * theta * theta))
 
 
 def _sm_component(p: SMParams, q: int, t: np.ndarray):
@@ -265,16 +270,21 @@ def grad_on_lags(kernel, index: int, t: np.ndarray) -> np.ndarray:
     raise TypeError(f"{type(kernel).__name__} has no stationary lag form")
 
 
-def _gibbs_terms(sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray):
+def _gibbs_terms(sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray, out=None):
     """Gibbs matrix (unit variance) on squared lags ``sq``, with 1/d and
-    sq/d (d = lam_x^2 + lam_y^2), which its lengthscale derivatives reuse."""
-    inv_d = np.add.outer(lam_x * lam_x, lam_y * lam_y)
+    sq/d (d = lam_x^2 + lam_y^2), which its lengthscale derivatives reuse.
+
+    ``out``, if given, is four arrays shaped like sq that receive G, 1/d,
+    sq/d and a scratch value; otherwise they are allocated.
+    """
+    g, inv_d, sq_d, e = [np.empty_like(sq) for _ in range(4)] if out is None else out
+    np.add.outer(lam_x * lam_x, lam_y * lam_y, out=inv_d)
     np.reciprocal(inv_d, out=inv_d)
-    sq_d = sq * inv_d
-    g = np.outer(2.0 * lam_x, lam_y)
+    np.multiply(sq, inv_d, out=sq_d)
+    np.multiply.outer(2.0 * lam_x, lam_y, out=g)
     g *= inv_d
     np.sqrt(g, out=g)
-    e = np.negative(sq_d)
+    np.negative(sq_d, out=e)
     np.exp(e, out=e)
     g *= e
     return g, inv_d, sq_d
@@ -287,11 +297,14 @@ def _gsm_quadrature(xs: np.ndarray, w: np.ndarray, f: np.ndarray):
     return w * np.cos(phase), w * np.sin(phase)
 
 
-def _gsm_from_terms(g: np.ndarray, qx, qy) -> np.ndarray:
+def _gsm_from_terms(g: np.ndarray, qx, qy, out=None) -> np.ndarray:
     """G o (cx cy^T + sx sy^T): the GSM matrix from its Gibbs matrix and
-    the ``_gsm_quadrature`` pairs qx = (cx, sx) and qy = (cy, sy)."""
-    k = np.outer(qx[0], qy[0])
-    k += np.outer(qx[1], qy[1])
+    the ``_gsm_quadrature`` pairs qx = (cx, sx) and qy = (cy, sy).
+    ``out``, if given, is two arrays shaped like g that receive the
+    matrix and a scratch value; otherwise they are allocated."""
+    k, scratch = [np.empty_like(g) for _ in range(2)] if out is None else out
+    np.multiply.outer(qx[0], qy[0], out=k)
+    k += np.multiply.outer(qx[1], qy[1], out=scratch)
     k *= g
     return k
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfimpute import (
     CoverageError,
@@ -246,6 +248,28 @@ def test_all_methods_preserve_valid_bitwise_and_complete():
             assert np.array_equal(out.z[valid], z[valid])
             assert np.all(out.z[~valid] >= lo - 1e-12)
             assert np.all(out.z[~valid] <= hi + 1e-12)
+
+
+@st.composite
+def masked_profiles(draw):
+    n = draw(st.integers(1, 60))
+    z = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    dx = draw(st.sampled_from([1e-4, 0.01, 1.0]))
+    return profile_of(np.where(valid, z, math.nan), valid, dx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=masked_profiles())
+def test_all_methods_preserve_valid_bitwise_and_complete_on_random_profiles(p):
+    # IDW gets a radius spanning the profile, so that every gap has support
+    methods = ALL_METHODS[:-1] + [lambda q: impute_idw(q, radius=q.n * q.dx)]
+    for method in methods:
+        out = method(p)
+        assert np.all(out.valid)
+        assert np.all(np.isfinite(out.z))
+        assert np.array_equal(out.z[p.valid].view(np.uint64),
+                              p.z[p.valid].view(np.uint64))
 
 
 def test_all_methods_identity_on_complete_profile():

@@ -441,6 +441,33 @@ def test_grid_objective_agrees_with_dense_mll(case):
     assert np.max(np.abs(grad - an)) < 1e-9
 
 
+def test_grid_objective_buffers_carry_no_state_between_calls():
+    # the objective gathers A and the triangle of A^-1 into buffers it
+    # owns; a call after a point rejected part-way must equal a fresh
+    # objective's
+    prof = random_profile(32, n=50, missing=6)
+    ds = split_dataset(prof)
+    kernel = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
+    noise = NoiseParams("white", 0.03)
+    obj = _GridMllObjective(ds, prof.dx, kernel, noise)
+    x1 = np.concatenate([raw_vector(kernel), raw_vector(noise)])
+    x2 = x1 + 0.1 * np.random.default_rng(33).standard_normal(len(x1))
+    v1, g1 = obj(x1)
+    kept = g1.copy()
+    bad = x1.copy()
+    bad[-1] = 800.0  # infinite noise variance
+    # A is gathered and factored; the solve then rejects the factor
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        obj(bad)
+    assert np.isinf(obj._a[0, 0])
+    v2, g2 = obj(x2)
+    v1_again, g1_again = obj(x1)
+    for x, v, g in ((x1, v1, g1), (x2, v2, g2), (x1, v1_again, g1_again)):
+        v_fresh, g_fresh = _GridMllObjective(ds, prof.dx, kernel, noise)(x)
+        assert v == v_fresh and np.array_equal(g.view(np.uint64), g_fresh.view(np.uint64))
+    assert np.array_equal(g1.view(np.uint64), kept.view(np.uint64))
+
+
 def test_fit_se_improves_likelihood():
     prof = random_profile(33, n=60, missing=8)
     cfg = OptConfig(max_iterations=60)

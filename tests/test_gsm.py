@@ -128,9 +128,11 @@ def test_whiten_diagonal_limit():
 
 def test_latent_factor_reconstructs_prior():
     spec = latent(np.zeros(7), sigma2=2.5, theta=0.4)
-    fac = _latent_factor(spec.se, spec.x_l)
+    sq = (spec.x_l[:, None] - spec.x_l[None, :]) ** 2
+    k, fac = _latent_factor(spec.se, sq)
     rebuilt = fac @ fac.T
     want = latent_prior(spec)
+    assert np.max(np.abs(k - want)) <= 1e-15 * np.max(want)
     rel = np.linalg.norm(rebuilt - want) / np.linalg.norm(want)
     assert rel < 1e-8
 
@@ -361,6 +363,44 @@ def test_objective_rejects_a_vector_of_the_wrong_length():
     assert np.isfinite(obj(x0)[0])
     with pytest.raises(ValueError, match="optimization coordinates"):
         obj(np.append(x0, 0.0))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_objective_buffers_carry_no_state_between_calls():
+    # the objective writes every n x n matrix into buffers it owns; a
+    # call after points rejected part-way must equal a fresh objective's
+    model = chirp_scale_model(seed=32)
+    rng = np.random.default_rng(33)
+    ds = dataset_on(np.linspace(0.0, 0.03, 24), rng.standard_normal(24))
+    obj = gsm_objective(model, ds)
+    p = model.w.n
+    x1 = obj.pack(model)
+    x2 = x1 + 0.05 * rng.standard_normal(len(x1))
+    v1, g1 = obj(x1)
+    kept = g1.copy()
+    w_overflow = x1.copy()
+    w_overflow[:p] = 800.0  # w overflows: K is not finite
+    noise_overflow = x1.copy()
+    noise_overflow[3 * p] = 800.0
+    lengthscale_underflow = x1.copy()
+    lengthscale_underflow[3 * p + 2] = -400.0
+    for bad in (w_overflow, noise_overflow, lengthscale_underflow):
+        value, grad = obj(bad)
+        assert value == -np.inf and not np.any(grad)
+        if bad is w_overflow:
+            # that rejection came after the covariance buffers were written
+            assert not np.all(np.isfinite(obj._k))
+    v2, g2 = obj(x2)
+    v1_again, g1_again = obj(x1)
+    for x, v, g in ((x1, v1, g1), (x2, v2, g2), (x1, v1_again, g1_again)):
+        v_fresh, g_fresh = gsm_objective(model, ds)(x)
+        assert same_bits(v, v_fresh) and same_bits(g, g_fresh)
+    # the gradient handed out first is the caller's own array
+    assert same_bits(g1, kept)
 
 
 def test_objective_pack_unpack_round_trip():

@@ -11,13 +11,17 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfimpute import (
     ConfigError,
     GridMismatchError,
+    Profile,
     evaluate,
     impute_constant,
     load_gsm,
+    make_grid,
     parse_config,
     profile_from_arrays,
     read_posterior_csv,
@@ -30,6 +34,7 @@ from surfimpute import (
 )
 from surfimpute.cli import main
 from surfimpute.plotting import masked_runs, svg_masked_spans
+from surfimpute.profile import GRID_REL_TOL
 
 
 def run_cli(argv):
@@ -86,6 +91,36 @@ def test_profile_csv_round_trip_bitwise(tmp_path):
             assert zs == "nan"
         else:
             assert math.isfinite(float(zs))
+
+
+@st.composite
+def masked_profiles(draw):
+    n = draw(st.integers(1, 40))
+    grid = make_grid(draw(st.floats(-100.0, 100.0)), draw(st.floats(1e-5, 10.0)), n)
+    z = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Profile(grid, np.array(z), np.array(valid))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=masked_profiles())
+def test_profile_csv_round_trip_on_random_profiles(profile, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    write_profile_csv(profile, path)
+    back = read_profile_csv(path)
+    assert back.n == profile.n and back.grid.x0 == profile.grid.x0
+    if profile.n > 1:
+        # the file stores positions, not the spacing: the reader fits it
+        assert abs(back.dx - profile.dx) <= GRID_REL_TOL * profile.dx
+    assert same_bits(back.x, profile.x)
+    assert np.array_equal(back.valid, profile.valid)
+    assert same_bits(back.z[back.valid], profile.z[profile.valid])
+    assert np.all(np.isnan(back.z[~back.valid]))
 
 
 def test_profile_csv_rejects_malformed(tmp_path):
