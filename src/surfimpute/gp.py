@@ -6,6 +6,13 @@ conditioning flavors exist: ``posterior`` targets the noise-free
 heights (noise covariance on the training block only) and
 ``predictive_posterior`` targets the observable heights (noise
 covariance on every block); imputation uses the predictive one.
+
+Both entry points build their blocks densely with ``build_cov``, for
+any abscissas.  On the measurement grid a stationary model takes only
+one value per integer lag, so the SM fit's objective and the
+imputation of a ``GPModel`` gather every block from one per-lag table
+of kernel + noise (``_lag_terms``): the imputation conditions on the
+very matrix whose likelihood the fit maximized.
 """
 
 from __future__ import annotations
@@ -48,8 +55,9 @@ def chol_jittered(a: np.ndarray):
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Tries jitter 0, then 1e-10..1e-4 times the mean diagonal (or 1.0 if
-    it is not positive) on a copy's diagonal.  Returns ``(L, jitter_added)``;
-    raises NotPositiveDefiniteError when the ladder is exhausted.
+    it is not positive) on a copy's diagonal.  Returns ``(L, jitter_added)``
+    with L C-ordered and its strict upper triangle exactly zero; raises
+    NotPositiveDefiniteError when the ladder is exhausted.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,10 +70,14 @@ def chol_jittered(a: np.ndarray):
         if jitter:
             work = a.copy() if work is a else work
             np.fill_diagonal(work, np.diagonal(a) + jitter)
-        try:
-            return np.linalg.cholesky(work), jitter
-        except np.linalg.LinAlgError:
-            continue
+        # potrf factors the upper triangle of work^T, which is work's
+        # lower one, into a copy; clean=1 zeroes the rest, so u^T is a
+        # C-ordered lower factor whose strict upper triangle is zero
+        u, info = scipy.linalg.lapack.dpotrf(work.T, lower=0, clean=1)
+        if info == 0:
+            return u.T, jitter
+        if info < 0:
+            raise np.linalg.LinAlgError(f"dpotrf: illegal value in argument {-info}")
     raise NotPositiveDefiniteError(
         f"matrix is not positive definite even with jitter {JITTER_LADDER[-1]*scale:g}"
     )
@@ -146,27 +158,33 @@ class PosteriorGaussian:
         return self.mean - half, self.mean + half
 
 
-def _conditioned(dataset: SurfaceDataset, kernel, noise, xm, query_parts):
-    """Condition the zero-mean GP on (xa, za); the query and cross
-    covariances are the sum of ``query_parts``.  With L the training
-    factor and v = L^-1 C_am, cov = C_mm - v^T v is exactly symmetric."""
+def _conditioned(a: np.ndarray, c_ma: np.ndarray, c_mm: np.ndarray,
+                 za: np.ndarray) -> PosteriorGaussian:
+    """Condition the zero-mean GP with training covariance A on za;
+    C_ma and C_mm are the cross and query covariances.  With L the
+    training factor and v = L^-1 C_am, cov = C_mm - v^T v is exactly
+    symmetric.  The callers say where the three blocks come from."""
+    fac, alpha, _ = _gaussian_core(a, za)
+    v = scipy.linalg.solve_triangular(fac, c_ma.T, lower=True)
+    return PosteriorGaussian(c_ma @ alpha, c_mm - v.T @ v)
+
+
+def _dense_conditioned(dataset: SurfaceDataset, kernel, noise, xm, query_parts):
+    """``_conditioned`` on blocks built by ``build_cov`` at any abscissas;
+    the query and cross covariances are the sum of ``query_parts``."""
     xm = np.asarray(xm, dtype=float)
     if xm.ndim != 1:
         raise ValueError("query abscissas must be a 1-D array")
     if len(xm) == 0:
         return PosteriorGaussian(np.zeros(0), np.zeros((0, 0)))
-    fac, alpha, _ = _gaussian_core(
-        _training_matrix(dataset, kernel, noise), dataset.za
-    )
     c_ma = sum(build_cov(part, xm, dataset.xa) for part in query_parts)
-    v = scipy.linalg.solve_triangular(fac, c_ma.T, lower=True)
-    prior = sum(build_cov(part, xm) for part in query_parts)
-    return PosteriorGaussian(c_ma @ alpha, prior - v.T @ v)
+    c_mm = sum(build_cov(part, xm) for part in query_parts)
+    return _conditioned(_training_matrix(dataset, kernel, noise), c_ma, c_mm, dataset.za)
 
 
 def posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
     """Posterior of the noise-free heights at xm given (xa, za)."""
-    return _conditioned(dataset, kernel, noise, xm, (kernel,))
+    return _dense_conditioned(dataset, kernel, noise, xm, (kernel,))
 
 
 def predictive_posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
@@ -177,7 +195,7 @@ def predictive_posterior(dataset: SurfaceDataset, kernel, noise, xm) -> Posterio
     imputation draws from: a measurement-like fill, whose spread never
     drops below the noise floor even right next to valid samples.
     """
-    return _conditioned(dataset, kernel, noise, xm, (kernel, noise))
+    return _dense_conditioned(dataset, kernel, noise, xm, (kernel, noise))
 
 
 def sample_posterior(post: PosteriorGaussian, seed: int, count: int = 1) -> np.ndarray:
@@ -200,6 +218,46 @@ class GPModel:
     noise: NoiseParams
 
 
+def _lag_index(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """|rows_i - cols_j| for grid indices (cols=None: rows itself), as
+    intp, which np.take and np.bincount use without converting."""
+    lags = np.subtract.outer(rows, rows if cols is None else cols).astype(np.intp, copy=False)
+    return np.abs(lags, out=lags)
+
+
+def _lag_terms(kernel, noise, tau: np.ndarray):
+    """Kernel + noise on grid lags ``tau`` (tau[0] = 0), and that
+    table's derivatives with respect to the raw parameters of kernel
+    then noise: ``(table, grads)``.
+
+    White noise sits at lag 0 alone: on one grid, lag 0 is the same
+    point.  A block between two disjoint index sets never reaches lag
+    0, so it gets the noise only when the noise is colored, as
+    ``build_cov`` gives it.
+    """
+    table, grads = kernels.terms_on_lags(kernel, tau)
+    if noise.kind == "white":
+        table[0] += noise.sigma2
+        noise_grads = np.zeros((1, len(tau)))
+        noise_grads[0, 0] = noise.sigma2
+    else:
+        noise_table, noise_grads = kernels.terms_on_lags(noise, tau)
+        table += noise_table
+    return table, np.concatenate([grads, noise_grads])
+
+
+def _grid_predictive(profile: Profile, dataset: SurfaceDataset,
+                     model: GPModel) -> PosteriorGaussian:
+    """``predictive_posterior`` at the missing grid points, with A, C_ma
+    and C_mm gathered from the per-lag table the SM fit uses."""
+    tau = np.arange(profile.n, dtype=float) * profile.dx
+    table, _ = _lag_terms(model.kernel, model.noise, tau)
+    ia, im = dataset.idx_a, dataset.idx_m
+    return _conditioned(np.take(table, _lag_index(ia)),
+                        np.take(table, _lag_index(im, ia)),
+                        np.take(table, _lag_index(im)), dataset.za)
+
+
 @dataclass(frozen=True)
 class ImputationResult:
     profile: Profile
@@ -218,8 +276,13 @@ def impute(profile: Profile, model, seed: int) -> ImputationResult:
     interval per filled point (all mean-restored).
 
     The draw and the interval come from the predictive posterior of
-    the noisy heights, so the fill carries the fitted noise level.  A
-    visible step where a filled run meets valid data is expected: the
+    the noisy heights, so the fill carries the fitted noise level.  For
+    a stationary ``GPModel`` its three covariance blocks are gathered
+    from the per-lag table of kernel + noise on the profile's grid (the
+    table the SM fit's likelihood uses); a GSM model builds them densely
+    with ``build_cov``.
+
+    A visible step where a filled run meets valid data is expected: the
     predictive spread stays at least the noise floor everywhere, so a
     sample does not have to pass through the neighboring valid points.
     """
@@ -228,8 +291,10 @@ def impute(profile: Profile, model, seed: int) -> ImputationResult:
         raise NothingToImputeError("profile has no missing heights")
     if ds.n_valid < 2:
         raise EmptyDatasetError("imputation needs at least two valid points")
-    kernel = getattr(model, "kernel", model)
-    post = predictive_posterior(ds, kernel, model.noise, ds.xm)
+    if isinstance(model, GPModel):
+        post = _grid_predictive(profile, ds, model)
+    else:
+        post = predictive_posterior(ds, model, model.noise, ds.xm)
     draw = sample_posterior(post, seed, 1)[0] + offset
     lo, hi = post.interval95()
     return ImputationResult(
@@ -270,11 +335,17 @@ class _GridMllObjective:
     """Marginal likelihood and gradient on a uniform measurement grid.
 
     All stationary kernels take only ``n_grid`` distinct values on the
-    grid, so the training matrix is gathered from a per-lag table and
-    the trace terms need only the by-lag sums of alpha alpha^T - A^-1:
-    twice the lower-triangle sum at lag > 0, the diagonal at lag 0.  For
-    A^-1 that is one bincount of the potri triangle; for alpha alpha^T
-    it is the autocorrelation of alpha placed on the grid.
+    grid, so the training matrix is gathered from the per-lag table of
+    ``_lag_terms`` and the trace terms need only the by-lag sums of
+    alpha alpha^T - A^-1: twice the lower-triangle sum at lag > 0, the
+    diagonal at lag 0.  For A^-1 that is one bincount of the potri
+    triangle; for alpha alpha^T it is the autocorrelation of alpha
+    placed on the grid.  The gradient is then one matvec of the table's
+    stacked parameter derivatives with those sums.
+
+    A point whose coordinates, table, value or gradient are not finite,
+    or whose matrix cannot be factored, gives ``(-inf, zeros)``, so the
+    optimizer stops there.
 
     The objective owns its work buffers (A and the gathered triangle of
     A^-1), so one instance must not be called from two threads at once.
@@ -287,8 +358,7 @@ class _GridMllObjective:
         self.za = dataset.za
         idx = dataset.idx_a
         n = len(idx)
-        # intp indices: np.take and np.bincount would convert others per call
-        self.lag_idx = np.abs(idx[:, None] - idx[None, :]).astype(np.intp)
+        self.lag_idx = _lag_index(idx)
         self.n_lags = int(idx[-1] - idx[0]) + 1
         self.tau = np.arange(self.n_lags, dtype=float) * dx
         self.grid_pos = idx - idx[0]
@@ -303,20 +373,25 @@ class _GridMllObjective:
         noise = with_raw_vector(self.noise0, raw[self.nk :])
         return kernel, noise
 
-    def table(self, kernel, noise) -> np.ndarray:
-        t = kernels.value_on_lags(kernel, self.tau)
-        if noise.kind == "white":
-            t = t.copy()
-            t[0] += noise.sigma2
-        else:
-            t = t + kernels.value_on_lags(noise, self.tau)
-        return t
-
     def __call__(self, raw):
-        kernel, noise = self.split(raw)
+        # a factorization that fails on a finite matrix is -inf too; any
+        # other error is a fault and propagates
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return self._evaluate(raw)
+        except (NotPositiveDefiniteError, np.linalg.LinAlgError):
+            return -np.inf, np.zeros_like(raw)
+
+    def _evaluate(self, raw):
+        rejected = -np.inf, np.zeros_like(raw)
+        if not np.all(np.isfinite(raw)):
+            return rejected
+        table, grads = _lag_terms(*self.split(raw), self.tau)
+        if not np.all(np.isfinite(table)):
+            return rejected
         # mode "clip" writes straight into out (the default buffers it);
         # every index is in range by construction
-        a = np.take(self.table(kernel, noise), self.lag_idx, out=self._a, mode="clip")
+        a = np.take(table, self.lag_idx, out=self._a, mode="clip")
         fac, alpha, value = _gaussian_core(a, self.za)
         on_grid = np.zeros(self.n_lags)
         on_grid[self.grid_pos] = alpha
@@ -325,16 +400,9 @@ class _GridMllObjective:
                           mode="clip")
         by_lag -= np.bincount(self.lower_lags, inv_low, minlength=self.n_lags)
         by_lag[1:] *= 2.0
-        g = np.empty(len(raw))
-        for i in range(self.nk):
-            g[i] = 0.5 * kernels.grad_on_lags(kernel, i, self.tau) @ by_lag
-        if noise.kind == "white":
-            g[self.nk] = 0.5 * noise.sigma2 * by_lag[0]
-        else:
-            for i in range(n_params(noise)):
-                g[self.nk + i] = (
-                    0.5 * kernels.grad_on_lags(noise, i, self.tau) @ by_lag
-                )
+        g = 0.5 * (grads @ by_lag)
+        if not (np.isfinite(value) and np.all(np.isfinite(g))):
+            return rejected
         return value, g
 
 

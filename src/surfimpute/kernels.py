@@ -192,30 +192,38 @@ def _se_on_squares(sigma2: float, theta: float, sq: np.ndarray) -> np.ndarray:
     return sigma2 * np.exp(-sq / (2.0 * theta * theta))
 
 
-def _sm_component(p: SMParams, q: int, t: np.ndarray):
-    c = np.cos(TWO_PI * p.freqs[q] * t)
-    e = np.exp(-2.0 * np.pi**2 * p.freq_vars[q] * (t * t))
-    return c, e
+def _periodic_terms(p: PeriodicParams, t: np.ndarray):
+    """sin(pi t / period) and the periodic kernel's values on lags t."""
+    s = np.sin(np.pi * t / p.period)
+    return s, p.sigma2 * np.exp(-(s * s) / (2.0 * p.theta**2))
+
+
+def _sm_factors(freqs, freq_vars, t: np.ndarray):
+    """Phase 2 pi f t, cos(2 pi f t) and exp(-2 pi^2 v t^2) of spectral
+    mixture components; f and v broadcast against t, so one call can
+    stack every component."""
+    phase = TWO_PI * freqs * t
+    return phase, np.cos(phase), np.exp(-2.0 * np.pi**2 * freq_vars * (t * t))
 
 
 def value_on_lags(kernel, t: np.ndarray) -> np.ndarray:
     """Stationary kernel evaluated on an array of absolute lags.
 
-    Shared by the dense matrix builder and the uniform-grid fitting
-    path, which gathers values from a per-lag table instead of
-    re-evaluating transcendentals per matrix entry.  Colored noise is
-    stationary and supported; white noise is not (index identity).
+    Shared by the dense matrix builder and the grid simulator; the
+    uniform-grid fit and imputation take values and gradients together
+    from ``terms_on_lags``.  Colored noise is stationary and supported;
+    white noise is not (index identity).
     """
     t = np.asarray(t, dtype=float)
     if isinstance(kernel, SEParams):
         return _se_like(kernel.sigma2, kernel.theta, t)
     if isinstance(kernel, PeriodicParams):
-        s = np.sin(np.pi * t / kernel.period)
-        return kernel.sigma2 * np.exp(-(s * s) / (2.0 * kernel.theta**2))
+        return _periodic_terms(kernel, t)[1]
     if isinstance(kernel, SMParams):
+        # one component at a time: t may be a dense n x n lag matrix
         k = np.zeros_like(t)
         for q in range(kernel.q):
-            c, e = _sm_component(kernel, q, t)
+            _, c, e = _sm_factors(kernel.freqs[q], kernel.freq_vars[q], t)
             k += kernel.weights[q] * c * e
         return k
     if isinstance(kernel, NoiseParams) and kernel.kind == "colored":
@@ -223,51 +231,48 @@ def value_on_lags(kernel, t: np.ndarray) -> np.ndarray:
     raise TypeError(f"{type(kernel).__name__} has no stationary lag form")
 
 
+def terms_on_lags(kernel, t: np.ndarray):
+    """Stationary kernel on an array of absolute lags, with its
+    derivatives with respect to every raw (log-space) parameter.
+
+    Returns ``(value, grads)``; ``grads[i]`` is d(kernel)/d(raw
+    parameter i), shaped like t.  One pass shares the transcendentals
+    among all rows: a spectral mixture stacks its components, and its
+    value is the sum of its log-weight rows.
+    """
+    t = np.asarray(t, dtype=float)
+    if isinstance(kernel, SEParams) or (
+        isinstance(kernel, NoiseParams) and kernel.kind == "colored"
+    ):
+        k = _se_like(kernel.sigma2, kernel.theta, t)
+        return k, np.stack([k, k * (t * t) / kernel.theta**2])
+    if isinstance(kernel, PeriodicParams):
+        s, k = _periodic_terms(kernel, t)
+        c = np.cos(np.pi * t / kernel.period)
+        return k, np.stack([
+            k,
+            k * (s * s) / kernel.theta**2,
+            k * s * c * np.pi * t / (kernel.period * kernel.theta**2),
+        ])
+    if isinstance(kernel, SMParams):
+        col = (slice(None),) + (None,) * t.ndim
+        w = kernel.weights[col]
+        phase, c, e = _sm_factors(kernel.freqs[col], kernel.freq_vars[col], t)
+        wce = w * c * e  # d/dlog w_q
+        grads = np.concatenate([
+            wce,
+            # d/dlog f_q and d/dlog v_q
+            -(w * np.maximum(kernel.freqs, LOG_FLOOR)[col]) * np.sin(phase)
+            * (TWO_PI * t) * e,
+            wce * (-2.0 * np.pi**2 * t * t) * np.maximum(kernel.freq_vars, LOG_FLOOR)[col],
+        ])
+        return wce.sum(axis=0), grads
+    raise TypeError(f"{type(kernel).__name__} has no stationary lag form")
+
+
 def grad_on_lags(kernel, index: int, t: np.ndarray) -> np.ndarray:
     """d(kernel)/d(raw parameter ``index``) on an array of absolute lags."""
-    t = np.asarray(t, dtype=float)
-    if isinstance(kernel, SEParams):
-        k = _se_like(kernel.sigma2, kernel.theta, t)
-        if index == 0:
-            return k
-        return k * (t * t) / kernel.theta**2
-    if isinstance(kernel, PeriodicParams):
-        s = np.sin(np.pi * t / kernel.period)
-        k = kernel.sigma2 * np.exp(-(s * s) / (2.0 * kernel.theta**2))
-        if index == 0:
-            return k
-        if index == 1:
-            return k * (s * s) / kernel.theta**2
-        c = np.cos(np.pi * t / kernel.period)
-        return k * s * c * np.pi * t / (kernel.period * kernel.theta**2)
-    if isinstance(kernel, SMParams):
-        q, which = index % kernel.q, index // kernel.q
-        c, e = _sm_component(kernel, q, t)
-        if which == 0:  # log w_q
-            return kernel.weights[q] * c * e
-        if which == 1:  # log f_q
-            s = np.sin(TWO_PI * kernel.freqs[q] * t)
-            return (
-                -kernel.weights[q]
-                * s
-                * (TWO_PI * t)
-                * e
-                * max(kernel.freqs[q], LOG_FLOOR)
-            )
-        # log v_q
-        return (
-            kernel.weights[q]
-            * c
-            * e
-            * (-2.0 * np.pi**2 * t * t)
-            * max(kernel.freq_vars[q], LOG_FLOOR)
-        )
-    if isinstance(kernel, NoiseParams) and kernel.kind == "colored":
-        k = _se_like(kernel.sigma2, kernel.theta, t)
-        if index == 0:
-            return k
-        return k * (t * t) / kernel.theta**2
-    raise TypeError(f"{type(kernel).__name__} has no stationary lag form")
+    return terms_on_lags(kernel, t)[1][index]
 
 
 def _gibbs_terms(sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray, out=None):

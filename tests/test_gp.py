@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfimpute import (
     EmptyDatasetError,
@@ -18,11 +21,15 @@ from surfimpute import (
     make_grid,
     rq,
 )
+from surfimpute import gp, synthesis
 from surfimpute.gp import (
     GPModel,
     _GridMllObjective,
     _gaussian_core,
+    _grid_predictive,
     _inverse_lower,
+    _lag_index,
+    _lag_terms,
     chol_jittered,
     estimate_noise_variance,
     log_marginal_likelihood,
@@ -33,6 +40,7 @@ from surfimpute.gp import (
 )
 from surfimpute.kernels import (
     NoiseParams,
+    PeriodicParams,
     SEParams,
     SMParams,
     build_cov,
@@ -42,7 +50,7 @@ from surfimpute.kernels import (
     with_raw_vector,
 )
 from surfimpute.optimize import fd_gradient
-from surfimpute.profile import split_dataset
+from surfimpute.profile import SurfaceDataset, split_dataset
 
 
 def dataset_from(xa, za, xm=()):
@@ -89,7 +97,29 @@ def test_chol_escalates_jitter():
     assert np.max(np.abs(fac @ fac.T - a)) <= 1e-4 * np.mean(np.diagonal(a)) + 1e-9
     # the jitter goes on a copy, and the factor is that of a + jitter * I
     assert np.array_equal(a, np.outer(v, v))
-    assert np.array_equal(fac, np.linalg.cholesky(a + jitter * np.eye(3)))
+    u, info = scipy.linalg.lapack.dpotrf((a + jitter * np.eye(3)).T, lower=0, clean=1)
+    assert info == 0 and np.array_equal(fac, u.T)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_chol_factor_is_c_ordered_lower_with_zero_upper(order, rank_one):
+    # potri in _inverse_lower and the GSM objective's mirror step rely
+    # on a C-ordered factor whose strict upper triangle is exactly zero
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((7, 7))
+    v = rng.standard_normal(7)
+    a = np.outer(v, v) if rank_one else b @ b.T + 7.0 * np.eye(7)
+    a = np.asarray(a, order=order)
+    before = a.copy()
+    fac, jitter = chol_jittered(a)
+    # the ladder escalates on the rank-one matrix only
+    assert (jitter > 0.0) == rank_one
+    assert fac.flags.c_contiguous
+    assert np.all(np.triu(fac, 1) == 0.0)
+    assert np.all(np.diagonal(fac) > 0.0)
+    assert np.max(np.abs(fac @ fac.T - a - jitter * np.eye(7))) <= 1e-12 * np.max(np.abs(a))
+    assert np.array_equal(a, before)
 
 
 def test_chol_gives_up_on_indefinite():
@@ -443,8 +473,7 @@ def test_grid_objective_agrees_with_dense_mll(case):
 
 def test_grid_objective_buffers_carry_no_state_between_calls():
     # the objective gathers A and the triangle of A^-1 into buffers it
-    # owns; a call after a point rejected part-way must equal a fresh
-    # objective's
+    # owns; a call after a rejected point must equal a fresh objective's
     prof = random_profile(32, n=50, missing=6)
     ds = split_dataset(prof)
     kernel = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
@@ -456,16 +485,126 @@ def test_grid_objective_buffers_carry_no_state_between_calls():
     kept = g1.copy()
     bad = x1.copy()
     bad[-1] = 800.0  # infinite noise variance
-    # A is gathered and factored; the solve then rejects the factor
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-        obj(bad)
-    assert np.isinf(obj._a[0, 0])
+    v_bad, g_bad = obj(bad)
+    assert v_bad == -np.inf and np.array_equal(g_bad, np.zeros_like(bad))
     v2, g2 = obj(x2)
     v1_again, g1_again = obj(x1)
     for x, v, g in ((x1, v1, g1), (x2, v2, g2), (x1, v1_again, g1_again)):
         v_fresh, g_fresh = _GridMllObjective(ds, prof.dx, kernel, noise)(x)
         assert v == v_fresh and np.array_equal(g.view(np.uint64), g_fresh.view(np.uint64))
     assert np.array_equal(g1.view(np.uint64), kept.view(np.uint64))
+
+
+def test_grid_objective_rejects_nonfinite_and_unfactorable_points(monkeypatch):
+    prof = random_profile(32, n=50, missing=6)
+    ds = split_dataset(prof)
+    kernel = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
+    noise = NoiseParams("white", 0.03)
+    obj = _GridMllObjective(ds, prof.dx, kernel, noise)
+    x = np.concatenate([raw_vector(kernel), raw_vector(noise)])
+    rejected = []
+    for i, value in ((0, math.nan), (-1, math.inf), (0, 800.0), (-1, 800.0)):
+        bad = x.copy()
+        bad[i] = value  # non-finite coordinate, or an overflowing table
+        rejected.append(obj(bad))
+
+    def fails(exc):
+        def chol(a):
+            raise exc("refused")
+        return chol
+
+    for exc in (NotPositiveDefiniteError, np.linalg.LinAlgError):
+        monkeypatch.setattr(gp, "chol_jittered", fails(exc))
+        rejected.append(obj(x))
+    for value, grad in rejected:
+        assert value == -np.inf
+        assert np.array_equal(grad, np.zeros(len(x)))
+
+
+# ---------------------------------------------------------------------------
+# imputation from the per-lag table
+
+
+def fill_like_profile(seed, n=300):
+    # the bench fill workload's input at a smaller size: periodic draw
+    # with coloured noise and no white nugget, about a third masked
+    config = synthesis.TurnedSimConfig(n=n)
+    truth = synthesis.simulate_turned(config, seed)
+    valid = np.ones(n, dtype=bool)
+    rng = np.random.default_rng(seed)
+    for start in rng.choice(n - 20, size=6, replace=False):
+        valid[start : start + 16] = False
+    model = GPModel(PeriodicParams(config.sigma2, config.theta, config.period),
+                    NoiseParams("colored", config.noise_sigma2, config.noise_theta))
+    return Profile(truth.grid, np.where(valid, truth.z, np.nan), valid), model
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["se_white", "sm_white", "periodic_colored"])
+def test_impute_matches_dense_predictive_posterior(case):
+    if case == "periodic_colored":
+        prof, model = fill_like_profile(40)
+    else:
+        prof = random_profile(41, n=120, missing=30)
+        kernel = (SEParams(1.0, 0.05) if case == "se_white"
+                  else SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0]))
+        model = GPModel(kernel, NoiseParams("white", 0.01))
+    ds = split_dataset(prof)
+    offset = float(np.mean(ds.za))
+    centered = SurfaceDataset(ds.xa, ds.za - offset, ds.xm, ds.idx_a, ds.idx_m)
+    want = predictive_posterior(centered, model.kernel, model.noise, ds.xm)
+    got = _grid_predictive(prof, centered, model)
+    assert relative_gap(got.cov, want.cov) <= 1e-10
+    result = impute(prof, model, seed=7)
+    lo, hi = want.interval95()
+    assert relative_gap(result.post_mean, want.mean + offset) <= 1e-10
+    assert relative_gap(result.lo95, lo + offset) <= 1e-10
+    assert relative_gap(result.hi95, hi + offset) <= 1e-10
+
+
+@st.composite
+def stationary_models(draw):
+    sigma2 = draw(st.floats(0.1, 10.0))
+    theta = draw(st.floats(0.005, 0.5))
+    which = draw(st.sampled_from(["se", "periodic", "sm"]))
+    if which == "se":
+        kernel = SEParams(sigma2, theta)
+    elif which == "periodic":
+        kernel = PeriodicParams(sigma2, theta, draw(st.floats(0.02, 1.0)))
+    else:
+        q = draw(st.integers(1, 3))
+        kernel = SMParams([sigma2 / (q + i) for i in range(q)],
+                          [draw(st.floats(0.0, 40.0)) for _ in range(q)],
+                          [draw(st.floats(0.0, 400.0)) for _ in range(q)])
+    if draw(st.booleans()):
+        noise = NoiseParams("white", draw(st.floats(0.0, 1.0)))
+    else:
+        noise = NoiseParams("colored", draw(st.floats(0.0, 1.0)), draw(st.floats(0.001, 0.1)))
+    return kernel, noise
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=stationary_models(), n=st.integers(2, 40),
+       x0=st.floats(-5.0, 5.0), dx=st.floats(1e-3, 0.05), data=st.data())
+def test_lag_table_gather_equals_dense_build(model, n, x0, dx, data):
+    kernel, noise = model
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    cols = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    x = make_grid(x0, dx, n).points()
+    table, _ = _lag_terms(kernel, noise, np.arange(n, dtype=float) * dx)
+    same = np.take(table, _lag_index(rows))
+    want = build_cov(kernel, x[rows]) + build_cov(noise, x[rows])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(same - want)) <= 1e-12 * scale
+    assert np.array_equal(same, same.T)
+    assert np.min(np.linalg.eigvalsh(same)) >= -1e-12 * len(rows) * scale
+    # across two sets white noise counts only where positions coincide
+    cross = np.take(table, _lag_index(rows, cols))
+    want = build_cov(kernel, x[rows], x[cols]) + build_cov(noise, x[rows], x[cols])
+    assert np.max(np.abs(cross - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
 
 
 def test_fit_se_improves_likelihood():
