@@ -9,6 +9,7 @@ identical flags and seed the output files are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields
@@ -21,7 +22,7 @@ from .baselines import (
     impute_median_filter,
     impute_nn_mean,
 )
-from .errors import FitFailureError, GridMismatchError, SurfImputeError
+from .errors import ConfigError, FitFailureError, GridMismatchError, SurfImputeError
 from .evaluate import evaluate
 from .experiments import run_chirp_experiment, run_turned_experiment
 from .gp import fit_se, fit_sm, impute
@@ -58,7 +59,20 @@ def _load_sim_config(cls, path):
     if path is None:
         return cls()
     values = parse_config(path, _config_schema(cls))
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _flag_values(parser: argparse.ArgumentParser):
+    """Report a flag value the library rejects as a usage error (exit
+    2): the library raises plain ValueError for bad arguments."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_simulate(args) -> int:
@@ -77,11 +91,12 @@ def cmd_mask(args, parser: argparse.ArgumentParser) -> int:
     if args.method == "gradient" and args.threshold is None:
         parser.error("--threshold is required for --method gradient")
     profile = read_profile_csv(args.infile)
-    if args.method == "dales":
-        masked = mask_smallest_width_dales(profile, args.count,
-                                           args.volume_threshold)
-    else:
-        masked = mask_gradient(profile, args.threshold)
+    with _flag_values(parser):
+        if args.method == "dales":
+            masked = mask_smallest_width_dales(profile, args.count,
+                                               args.volume_threshold)
+        else:
+            masked = mask_gradient(profile, args.threshold)
     write_profile_csv(masked, args.out)
     print(f"masked = {masked.n_missing}")
     return 0
@@ -95,41 +110,43 @@ def _default_posterior_path(out: str) -> str:
 def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
     profile = read_profile_csv(args.infile)
     if args.model in BASELINE_MODELS:
-        if args.model in ("mean", "median"):
-            filled = impute_constant(profile, args.model)
-        elif args.model == "nn":
-            filled = impute_nn_mean(profile)
-        elif args.model == "medfilt":
-            filled = impute_median_filter(profile, window=args.window)
-        else:
-            filled = impute_idw(profile, power=args.power,
-                                radius=args.radius)
+        with _flag_values(parser):
+            if args.model in ("mean", "median"):
+                filled = impute_constant(profile, args.model)
+            elif args.model == "nn":
+                filled = impute_nn_mean(profile)
+            elif args.model == "medfilt":
+                filled = impute_median_filter(profile, window=args.window)
+            else:
+                filled = impute_idw(profile, power=args.power,
+                                    radius=args.radius)
         write_profile_csv(filled, args.out)
         print(f"imputed {profile.n_missing} points to {args.out}")
         return 0
 
     if args.seed is None:
         parser.error(f"--seed is required for model {args.model!r}")
-    opt = OptConfig(max_iterations=args.max_iterations)
     trace = None
     try:
-        if args.model == "sm":
-            model, trace, _ = fit_sm(
-                profile, q=args.q, config=opt, seed=args.seed,
-                init_rsm=args.init_rsm, init_rq=args.init_rq,
-                n_restarts=args.restarts,
-            )
-        elif args.model == "se":
-            model, trace, _ = fit_se(profile, config=opt)
-        else:
-            model0 = make_gsm_model(
-                profile,
-                n_latent=args.n_latent,
-                rq0=args.init_rq,
-                wavelength_left=args.wavelength_left,
-                wavelength_right=args.wavelength_right,
-            )
-            model, trace = fit_gsm(profile, model0, opt)
+        with _flag_values(parser):
+            opt = OptConfig(max_iterations=args.max_iterations)
+            if args.model == "sm":
+                model, trace, _ = fit_sm(
+                    profile, q=args.q, config=opt, seed=args.seed,
+                    init_rsm=args.init_rsm, init_rq=args.init_rq,
+                    n_restarts=args.restarts,
+                )
+            elif args.model == "se":
+                model, trace, _ = fit_se(profile, config=opt)
+            else:
+                model0 = make_gsm_model(
+                    profile,
+                    n_latent=args.n_latent,
+                    rq0=args.init_rq,
+                    wavelength_left=args.wavelength_left,
+                    wavelength_right=args.wavelength_right,
+                )
+                model, trace = fit_gsm(profile, model0, opt)
     except FitFailureError as exc:
         trace = exc.trace if exc.trace is not None else trace
         if trace is not None:

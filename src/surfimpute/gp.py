@@ -344,8 +344,9 @@ class _GridMllObjective:
     stacked parameter derivatives with those sums.
 
     A point whose coordinates, table, value or gradient are not finite,
-    or whose matrix cannot be factored, gives ``(-inf, zeros)``, so the
-    optimizer stops there.
+    whose kernel or noise the parameter classes reject, or whose matrix
+    cannot be factored, gives ``(-inf, zeros)``, so the optimizer stops
+    there.
 
     The objective owns its work buffers (A and the gathered triangle of
     A^-1), so one instance must not be called from two threads at once.
@@ -355,6 +356,7 @@ class _GridMllObjective:
         self.kernel0 = kernel0
         self.noise0 = noise0
         self.nk = n_params(kernel0)
+        self.n_raw = self.nk + n_params(noise0)
         self.za = dataset.za
         idx = dataset.idx_a
         n = len(idx)
@@ -383,10 +385,17 @@ class _GridMllObjective:
             return -np.inf, np.zeros_like(raw)
 
     def _evaluate(self, raw):
+        if np.shape(raw) != (self.n_raw,):
+            raise ValueError(f"expected {self.n_raw} raw parameters, "
+                             f"got shape {np.shape(raw)}")
         rejected = -np.inf, np.zeros_like(raw)
         if not np.all(np.isfinite(raw)):
             return rejected
-        table, grads = _lag_terms(*self.split(raw), self.tau)
+        try:
+            kernel, noise = self.split(raw)
+        except ValueError:  # a parameter class rejects an under- or overflow
+            return rejected
+        table, grads = _lag_terms(kernel, noise, self.tau)
         if not np.all(np.isfinite(table)):
             return rejected
         # mode "clip" writes straight into out (the default buffers it);

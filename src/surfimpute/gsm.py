@@ -4,13 +4,15 @@ The kernel k(x,x') = w(x) w(x') k_gibbs(x,x'; lambda) cos(2 pi (f(x) x
 - f(x') x')) gets its three functions from latent GPs: log w and log
 lambda, and logit(f / f_nyquist), each a smooth SE-prior GP summarized
 by representative values at evenly spaced locations.  Fitting maximizes
-the posterior of (representatives, noise, latent hyperparameters) with
-the representatives whitened by the current latent prior factor, so the
-optimizer always works in approximately isotropic coordinates.
+the posterior of (representatives, noise, latent variances) with the
+representatives whitened by their latent prior factor, so the optimizer
+works in approximately isotropic coordinates.
 
-Gradients are analytic throughout, including through the whitening
-factor (Cholesky differentiation for the latent lengthscales), and are
-verified against central finite differences in the tests.
+Each latent keeps the SE lengthscale of the starting model, its
+prior-knowledge value, so its map from whitened coordinates to the
+data abscissas is one constant matrix and no Cholesky factor is
+differentiated.  Gradients are analytic and are verified against
+central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from .errors import (
@@ -38,11 +39,9 @@ from .kernels import (
     NoiseParams,
     PointwiseLatents,
     SEParams,
-    _abs_lag,
     _gibbs_terms,
     _gsm_from_terms,
     _gsm_quadrature,
-    _se_on_squares,
     build_cov,
     gsm_cov,
 )
@@ -51,7 +50,8 @@ from .profile import Profile, SurfaceDataset, rq, rsm
 
 # relative jitter on the latent prior (times the latent variance)
 LATENT_JITTER = 1e-8
-# starting SE prior of every latent: variance, and lengthscale / span
+# SE prior of every latent: starting variance, and lengthscale / span,
+# which the fit keeps
 LATENT_SIGMA2 = 0.25
 LATENT_THETA_FRAC = 0.125
 
@@ -103,24 +103,18 @@ def _apply_transform(spec: LatentFunctionSpec, u: np.ndarray) -> np.ndarray:
     return spec.scale * expit(u)
 
 
-def _sq_lags(xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
-    """Squared lags between xs and ys (ys=None: xs itself)."""
-    t = _abs_lag(xs, ys)
-    return t * t
-
-
-def _latent_factor(se: SEParams, sq_l: np.ndarray):
-    """The SE latent prior on the squared lags ``sq_l`` between its
-    locations, with a relative diagonal jitter of LATENT_JITTER times
-    its variance, and that matrix's lower Cholesky factor: ``(K, L)``."""
-    k = _se_on_squares(se.sigma2, se.theta, sq_l)
+def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the SE latent prior among the locations
+    ``x_l``, with a relative diagonal jitter of LATENT_JITTER times its
+    variance."""
+    k = build_cov(se, x_l)
     k[np.diag_indices_from(k)] += LATENT_JITTER * se.sigma2
     # a lengthscale whose square underflows gives 0/0 entries, which
     # numpy's Cholesky passes through as a NaN factor
     if not np.all(np.isfinite(k)):
         raise NotPositiveDefiniteError("latent prior is not finite")
     try:
-        return k, np.linalg.cholesky(k)
+        return np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "latent prior is not positive definite"
@@ -129,7 +123,7 @@ def _latent_factor(se: SEParams, sq_l: np.ndarray):
 
 def whiten(spec: LatentFunctionSpec) -> np.ndarray:
     """Representatives -> isotropic coordinates v = L^-1 (ubar - mean)."""
-    _, fac = _latent_factor(spec.se, _sq_lags(spec.x_l))
+    fac = _latent_factor(spec.se, spec.x_l)
     return scipy.linalg.solve_triangular(fac, spec.ubar - spec.mean, lower=True)
 
 
@@ -138,7 +132,7 @@ def unwhiten(spec: LatentFunctionSpec, v) -> LatentFunctionSpec:
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.n,):
         raise ValueError(f"expected {spec.n} whitened coordinates")
-    _, fac = _latent_factor(spec.se, _sq_lags(spec.x_l))
+    fac = _latent_factor(spec.se, spec.x_l)
     return replace(spec, ubar=spec.mean + fac @ v)
 
 
@@ -146,7 +140,7 @@ def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
     """Transformed latent function at query points: noise-free GP
     posterior-mean interpolation of the representatives, then the
     output transform."""
-    _, fac = _latent_factor(spec.se, _sq_lags(spec.x_l))
+    fac = _latent_factor(spec.se, spec.x_l)
     coef = scipy.linalg.cho_solve((fac, True), spec.ubar - spec.mean)
     k_ql = build_cov(spec.se, xq, spec.x_l)
     return _apply_transform(spec, spec.mean + k_ql @ coef)
@@ -206,36 +200,17 @@ def log_posterior(model: GsmModel, dataset: SurfaceDataset) -> float:
 # MAP fitting
 
 
-def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(a, b, lower=lower)`` without its
-    wrapper: the same LAPACK trtrs call with the arguments scipy passes,
-    so the result is the same to the bit.  On these small latent systems
-    the wrapper's checks cost more than the solve; the objective checks
-    its inputs and its gradient for finiteness itself."""
-    if a.flags.f_contiguous:
-        x, info = dtrtrs(a, b, lower=lower)
-    else:
-        # trtrs expects Fortran order, so the transposed system is solved
-        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular triangular factor at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"dtrtrs: illegal value in argument {-info}")
-    return x
-
-
-def _phi_lower_half(s: np.ndarray) -> np.ndarray:
-    """Lower-triangular half-diagonal projector used in Cholesky
-    differentiation: dL = L Phi(L^-1 dK L^-T)."""
-    out = np.tril(s)
-    np.fill_diagonal(out, 0.5 * np.diagonal(s))
-    return out
-
-
 class _GsmObjective:
     """log_posterior and its analytic gradient as a function of the
-    optimization vector [v_w, v_lam, v_f, log sigma_n^2,
-    (log sigma_k^2, log theta_k) x 3].
+    optimization vector [v_w, v_lam, v_f, log sigma_n^2, log sigma_w^2,
+    log sigma_lam^2, log sigma_f^2].
+
+    Every latent keeps model0's SE lengthscale.  The prior jitter is
+    relative, so the factor of a latent's prior is sqrt(sigma_h^2) times
+    that of its unit-variance prior, and the latent at the data
+    abscissas is u_h = mean_h + sqrt(sigma_h^2) B_h v_h with the
+    constant map B_h = K_xL L^-T of the unit-variance prior, built once.
+    No latent prior is factored or solved during an evaluation.
 
     With phi = 2 pi f(x) x, wc = w cos phi and ws = w sin phi, the
     profile covariance is K = G o (wc wc^T + ws ws^T) (o elementwise,
@@ -248,8 +223,10 @@ class _GsmObjective:
         s_f   = -2 pi x df/du (ws P_0 - wc P_1)
         s_lam = s_w / 2 + lam^2 rowsum(M o K o (2 sq/d - 1) / d),
 
-    with sq the squared lags and d = lam(x)^2 + lam(x')^2, and the log
-    noise variance gets sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
+    with sq the squared lags and d = lam(x)^2 + lam(x')^2.  The v_h
+    gradient is sqrt(sigma_h^2) B_h^T s_h - v_h, the log sigma_h^2
+    gradient s_h (u_h - mean_h) / 2, and the log noise variance gets
+    sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
 
     The objective owns its n x n work buffers and writes every matrix
     of an evaluation into them, so a call allocates nothing n x n
@@ -267,9 +244,12 @@ class _GsmObjective:
         n = len(self.xa)
         self.sq = (self.xa[:, None] - self.xa[None, :]) ** 2
         self.specs0 = (model0.w, model0.lam, model0.f)
-        # squared lags among each latent's locations, and from xa to them
-        self.sq_lls = [_sq_lags(spec.x_l) for spec in self.specs0]
-        self.sq_xls = [_sq_lags(self.xa, spec.x_l) for spec in self.specs0]
+        self.maps = []
+        for spec in self.specs0:
+            unit = SEParams(1.0, spec.se.theta)
+            k_xl = build_cov(unit, self.xa, spec.x_l)
+            fac = _latent_factor(unit, spec.x_l)
+            self.maps.append(scipy.linalg.solve_triangular(fac, k_xl.T, lower=True).T)
         # G (then M o G), 1/d, sq/d (then (2 sq/d - 1) / d), K (then
         # M o K), A (then M) and a scratch matrix
         self._g, self._inv_d, self._sq_d, self._k, self._a, self._scratch = (
@@ -279,30 +259,34 @@ class _GsmObjective:
         self._finite = np.empty((n, n), dtype=bool)
 
     def pack(self, model: GsmModel) -> np.ndarray:
-        parts = [whiten(spec) for spec in (model.w, model.lam, model.f)]
+        specs = (model.w, model.lam, model.f)
+        parts = [whiten(spec) for spec in specs]
         parts.append([math.log(max(model.noise_sigma2, 1e-300))])
-        for spec in (model.w, model.lam, model.f):
-            parts.append(np.log([spec.se.sigma2, spec.se.theta]))
+        parts.append(np.log([spec.se.sigma2 for spec in specs]))
         return np.concatenate(parts)
 
     def split(self, raw: np.ndarray):
         p = self.p
-        if np.shape(raw) != (3 * p + 7,):
-            raise ValueError(f"expected {3 * p + 7} optimization coordinates, "
+        if np.shape(raw) != (3 * p + 4,):
+            raise ValueError(f"expected {3 * p + 4} optimization coordinates, "
                              f"got shape {np.shape(raw)}")
         vs = [raw[i * p : (i + 1) * p] for i in range(3)]
         sigma_n2 = float(np.exp(raw[3 * p]))
-        hyps = np.exp(raw[3 * p + 1 :]).reshape(3, 2)
-        return vs, sigma_n2, hyps
+        sigma2s = np.exp(raw[3 * p + 1 :])
+        return vs, sigma_n2, sigma2s
 
     def unpack(self, raw: np.ndarray) -> GsmModel:
-        vs, sigma_n2, hyps = self.split(raw)
+        vs, sigma_n2, sigma2s = self.split(raw)
         specs = []
-        for spec0, v, (s2, th) in zip(self.specs0, vs, hyps):
-            spec = replace(spec0, se=SEParams(s2, th))
+        for spec0, v, s2 in zip(self.specs0, vs, sigma2s):
+            spec = replace(spec0, se=SEParams(s2, spec0.se.theta))
             specs.append(unwhiten(spec, v))
         return GsmModel(w=specs[0], lam=specs[1], f=specs[2],
                         noise_sigma2=sigma_n2)
+
+    def _deviations(self, vs, scales):
+        """u_h(xa) - mean_h = sqrt(sigma_h^2) B_h v_h for each latent."""
+        return [scale * (b @ v) for scale, b, v in zip(scales, self.maps, vs)]
 
     def __call__(self, raw: np.ndarray):
         # _evaluate returns -inf for non-finite coordinates,
@@ -318,22 +302,15 @@ class _GsmObjective:
     def _evaluate(self, raw: np.ndarray):
         p = self.p
         xa, za = self.xa, self.za
-        vs, sigma_n2, hyps = self.split(raw)
+        vs, sigma_n2, sigma2s = self.split(raw)
         rejected = -np.inf, np.zeros_like(raw)
         if not (np.all(np.isfinite(raw)) and 0.0 < sigma_n2 < math.inf
-                and np.all((hyps > 0.0) & (hyps < math.inf))):
+                and np.all((sigma2s > 0.0) & (sigma2s < math.inf))):
             return rejected
 
-        # latent layer: u_h(xa) = mean_h + K_xL L^-T v_h per latent; the
-        # log theta derivatives reuse K_LL and K_xL
-        ses = [SEParams(s2, th) for s2, th in hyps]
-        priors = [_latent_factor(se, sq_l) for se, sq_l in zip(ses, self.sq_lls)]
-        rs = [_solve_triangular(fac.T, v, lower=False) for (_, fac), v in zip(priors, vs)]
-        k_xls = [_se_on_squares(se.sigma2, se.theta, sq_xl)
-                 for se, sq_xl in zip(ses, self.sq_xls)]
-        devs = [k_xl @ r for k_xl, r in zip(k_xls, rs)]
+        scales = np.sqrt(sigma2s)
+        devs = self._deviations(vs, scales)
         us = [spec.mean + dev for spec, dev in zip(self.specs0, devs)]
-
         w = np.exp(us[0])
         lam = np.exp(us[1])
         s_f = expit(us[2])
@@ -382,40 +359,21 @@ class _GsmObjective:
 
         grad = np.empty_like(raw)
         grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - tr_inv)
-        for h, (se, (k_ll, fac)) in enumerate(zip(ses, priors)):
-            y = k_xls[h].T @ sens[h]
-            grad[h * p : (h + 1) * p] = (
-                _solve_triangular(fac, y, lower=True) - vs[h]
-            )
-            # log sigma_k^2: the jitter is relative, so u - mean scales
-            # as sqrt(sigma_k^2) and du = (u - mean) / 2
-            grad[3 * p + 1 + 2 * h] = 0.5 * sens[h] @ devs[h]
-            # log theta_k: through the interpolation and the factor, with
-            # dK/dlog theta = K o sq / theta^2 (K_LL's jitter sits on its
-            # diagonal, where the squared lag is zero)
-            dk_ll = k_ll * self.sq_lls[h] / se.theta**2
-            s_mat = _solve_triangular(fac, dk_ll, lower=True)
-            s_mat = _solve_triangular(fac, s_mat.T, lower=True).T
-            dl_t_r = _phi_lower_half(s_mat).T @ (fac.T @ rs[h])
-            t2 = _solve_triangular(fac.T, dl_t_r, lower=False)
-            dk_xl = k_xls[h] * self.sq_xls[h] / se.theta**2
-            du = dk_xl @ rs[h] - k_xls[h] @ t2
-            grad[3 * p + 2 + 2 * h] = sens[h] @ du
+        for h, (b, s) in enumerate(zip(self.maps, sens)):
+            grad[h * p : (h + 1) * p] = scales[h] * (b.T @ s) - vs[h]
+            # u_h - mean_h scales as sqrt(sigma_h^2): du = (u_h - mean_h) / 2
+            grad[3 * p + 1 + h] = 0.5 * s @ devs[h]
 
         if not np.all(np.isfinite(grad)):
             return rejected
         return float(value), grad
 
 
-def gsm_objective(model0: GsmModel, dataset: SurfaceDataset) -> _GsmObjective:
-    """The MAP objective closure used for fitting; callable on the
-    optimization vector, returns (value, gradient)."""
-    return _GsmObjective(model0, dataset)
-
-
 def fit_gsm(profile: Profile, model0: GsmModel,
             config: OptConfig = OptConfig()):
-    """Maximize the GSM posterior from ``model0``.
+    """Maximize the GSM posterior from ``model0`` over the latent
+    representatives, the noise variance and the latent variances; every
+    latent keeps model0's lengthscale.
 
     Returns ``(model, trace)``.  Objective values are comparable only
     within one dataset (the posterior is defined up to a constant).

@@ -184,12 +184,7 @@ def _abs_lag(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
 
 
 def _se_like(sigma2: float, theta: float, t: np.ndarray) -> np.ndarray:
-    return _se_on_squares(sigma2, theta, t * t)
-
-
-def _se_on_squares(sigma2: float, theta: float, sq: np.ndarray) -> np.ndarray:
-    """SE values on squared lags, for callers that keep the squares."""
-    return sigma2 * np.exp(-sq / (2.0 * theta * theta))
+    return sigma2 * np.exp(-(t * t) / (2.0 * theta * theta))
 
 
 def _periodic_terms(p: PeriodicParams, t: np.ndarray):

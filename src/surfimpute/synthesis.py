@@ -36,6 +36,7 @@ class TurnedSimConfig:
     noise_theta: float = 0.001
 
     def __post_init__(self):
+        make_grid(self.x0, self.dx, self.n)  # the simulator's grid checks
         if not (self.sigma2 > 0 and self.theta > 0 and self.period > 0):
             raise ValueError("kernel parameters must be positive")
         if self.noise_sigma2 < 0 or (self.noise_sigma2 > 0 and not self.noise_theta > 0):
@@ -55,6 +56,7 @@ class ChirpConfig:
     noise_theta: float = 0.02
 
     def __post_init__(self):
+        make_grid(self.x0, self.dx, self.n)  # the simulator's grid checks
         if not self.amplitude > 0 or self.k_max < 1:
             raise ValueError("need a positive amplitude and k_max >= 1")
         if self.noise_sigma2 < 0 or (self.noise_sigma2 > 0 and not self.noise_theta > 0):

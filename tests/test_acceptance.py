@@ -27,7 +27,7 @@ from surfimpute import (
 from surfimpute.cli import main
 from surfimpute.experiments import run_chirp_experiment, run_turned_experiment
 from surfimpute.gp import _GridMllObjective, posterior, sample_posterior
-from surfimpute.gsm import LatentFunctionSpec, gsm_objective
+from surfimpute.gsm import LatentFunctionSpec, _GsmObjective
 from surfimpute.kernels import (
     NoiseParams,
     PeriodicParams,
@@ -102,7 +102,7 @@ def test_ac1_gradient_correctness():
                              -0.85, se, "logit", scale=10.0),
         noise_sigma2=0.05,
     )
-    gsm_obj = gsm_objective(model, _dataset(x, z - np.mean(z)))
+    gsm_obj = _GsmObjective(model, _dataset(x, z - np.mean(z)))
     x0 = gsm_obj.pack(model)
     gsm_err = 0.0
     for _ in range(5):

@@ -49,7 +49,7 @@ from surfimpute.kernels import (
     raw_vector,
     with_raw_vector,
 )
-from surfimpute.optimize import fd_gradient
+from surfimpute.optimize import fd_gradient, maximize
 from surfimpute.profile import SurfaceDataset, split_dataset
 
 
@@ -519,6 +519,35 @@ def test_grid_objective_rejects_nonfinite_and_unfactorable_points(monkeypatch):
     for value, grad in rejected:
         assert value == -np.inf
         assert np.array_equal(grad, np.zeros(len(x)))
+
+
+def test_grid_objective_rejects_what_the_parameter_classes_reject():
+    # raw log -800 underflows to a zero weight or lengthscale, which the
+    # parameter classes refuse; the objective rejects the point instead
+    prof = random_profile(32, n=50, missing=6)
+    ds = split_dataset(prof)
+    noise = NoiseParams("white", 0.03)
+    sm = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
+    se = SEParams(100.0, 0.05)
+    for kernel, index in ((sm, 0), (se, 1)):
+        obj = _GridMllObjective(ds, prof.dx, kernel, noise)
+        bad = np.concatenate([raw_vector(kernel), raw_vector(noise)])
+        bad[index] = -800.0
+        value, grad = obj(bad)
+        assert value == -np.inf
+        assert np.array_equal(grad, np.zeros(len(bad)))
+        # a vector of the wrong length is a fault, not a rejected point
+        with pytest.raises(ValueError, match="raw parameters"):
+            obj(np.append(bad, 0.0))
+
+    # SE variance 100 on unit-amplitude data: the first fixed-size step
+    # lowers log sigma^2 by 800, and the fit stops there
+    obj = _GridMllObjective(ds, prof.dx, se, noise)
+    x0 = np.concatenate([raw_vector(se), raw_vector(noise)])
+    assert obj(x0)[1][0] < 0.0
+    _, trace = maximize(obj, x0, OptConfig(max_iterations=5, step=800.0))
+    assert trace.termination == "nonfinite"
+    assert trace.n_iterations == 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from surfimpute import (
 )
 from surfimpute.gsm import (
     LatentFunctionSpec,
+    _GsmObjective,
     _latent_factor,
-    gsm_objective,
     latent_eval,
     log_posterior,
     unwhiten,
@@ -128,11 +128,9 @@ def test_whiten_diagonal_limit():
 
 def test_latent_factor_reconstructs_prior():
     spec = latent(np.zeros(7), sigma2=2.5, theta=0.4)
-    sq = (spec.x_l[:, None] - spec.x_l[None, :]) ** 2
-    k, fac = _latent_factor(spec.se, sq)
+    fac = _latent_factor(spec.se, spec.x_l)
     rebuilt = fac @ fac.T
     want = latent_prior(spec)
-    assert np.max(np.abs(k - want)) <= 1e-15 * np.max(want)
     rel = np.linalg.norm(rebuilt - want) / np.linalg.norm(want)
     assert rel < 1e-8
 
@@ -303,11 +301,11 @@ def test_objective_value_matches_log_posterior():
     xa = np.linspace(0.0, 1.0, 12)
     za = rng.standard_normal(12)
     ds = dataset_on(xa, za)
-    obj = gsm_objective(model, ds)
+    obj = _GsmObjective(model, ds)
     value, grad = obj(obj.pack(model))
     want = log_posterior(model, ds)
     assert abs(value - want) < 1e-9 * max(1.0, abs(want))
-    assert grad.shape == (3 * 5 + 1 + 6,)
+    assert grad.shape == (3 * 5 + 1 + 3,)
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -316,7 +314,7 @@ def test_objective_gradient_matches_finite_differences():
     xa = np.linspace(0.0, 1.0, 20)
     za = rng.standard_normal(20)
     ds = dataset_on(xa, za)
-    obj = gsm_objective(model, ds)
+    obj = _GsmObjective(model, ds)
     x0 = obj.pack(model)
     for point in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
         _, grad = obj(point)
@@ -344,7 +342,7 @@ def test_objective_at_chirp_phases_matches_log_posterior_and_fd():
     rng = np.random.default_rng(31)
     xa = np.linspace(0.0, 0.03, 24)
     ds = dataset_on(xa, rng.standard_normal(24))
-    obj = gsm_objective(model, ds)
+    obj = _GsmObjective(model, ds)
     x0 = obj.pack(model)
     assert 2.0 * np.pi * np.max(model.latents_at(xa).f * xa) > 300.0
     for point in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
@@ -358,7 +356,7 @@ def test_objective_at_chirp_phases_matches_log_posterior_and_fd():
 
 def test_objective_rejects_a_vector_of_the_wrong_length():
     model = small_model(p=5, seed=12)
-    obj = gsm_objective(model, dataset_on(np.linspace(0.0, 1.0, 8), np.zeros(8)))
+    obj = _GsmObjective(model, dataset_on(np.linspace(0.0, 1.0, 8), np.zeros(8)))
     x0 = obj.pack(model)
     assert np.isfinite(obj(x0)[0])
     with pytest.raises(ValueError, match="optimization coordinates"):
@@ -376,7 +374,7 @@ def test_objective_buffers_carry_no_state_between_calls():
     model = chirp_scale_model(seed=32)
     rng = np.random.default_rng(33)
     ds = dataset_on(np.linspace(0.0, 0.03, 24), rng.standard_normal(24))
-    obj = gsm_objective(model, ds)
+    obj = _GsmObjective(model, ds)
     p = model.w.n
     x1 = obj.pack(model)
     x2 = x1 + 0.05 * rng.standard_normal(len(x1))
@@ -386,9 +384,9 @@ def test_objective_buffers_carry_no_state_between_calls():
     w_overflow[:p] = 800.0  # w overflows: K is not finite
     noise_overflow = x1.copy()
     noise_overflow[3 * p] = 800.0
-    lengthscale_underflow = x1.copy()
-    lengthscale_underflow[3 * p + 2] = -400.0
-    for bad in (w_overflow, noise_overflow, lengthscale_underflow):
+    latent_variance_overflow = x1.copy()
+    latent_variance_overflow[3 * p + 1] = 800.0
+    for bad in (w_overflow, noise_overflow, latent_variance_overflow):
         value, grad = obj(bad)
         assert value == -np.inf and not np.any(grad)
         if bad is w_overflow:
@@ -397,17 +395,35 @@ def test_objective_buffers_carry_no_state_between_calls():
     v2, g2 = obj(x2)
     v1_again, g1_again = obj(x1)
     for x, v, g in ((x1, v1, g1), (x2, v2, g2), (x1, v1_again, g1_again)):
-        v_fresh, g_fresh = gsm_objective(model, ds)(x)
+        v_fresh, g_fresh = _GsmObjective(model, ds)(x)
         assert same_bits(v, v_fresh) and same_bits(g, g_fresh)
     # the gradient handed out first is the caller's own array
     assert same_bits(g1, kept)
+
+
+def test_objective_latents_match_the_unpacked_model():
+    # the constant latent maps give the values latent_eval interpolates
+    # from the unpacked representatives
+    model = small_model(p=6, seed=34, noise=0.05)
+    rng = np.random.default_rng(35)
+    xa = np.sort(rng.uniform(0.0, 1.0, 15))
+    obj = _GsmObjective(model, dataset_on(xa, rng.standard_normal(15)))
+    x0 = obj.pack(model)
+    for point in (x0, x0 + 0.3 * rng.standard_normal(len(x0))):
+        vs, _, sigma2s = obj.split(point)
+        devs = obj._deviations(vs, np.sqrt(sigma2s))
+        u_w, u_lam, u_f = (spec.mean + dev for spec, dev in zip(obj.specs0, devs))
+        got = (np.exp(u_w), np.exp(u_lam), model.f.scale * expit(u_f))
+        want = obj.unpack(point).latents_at(xa)
+        for g, w in zip(got, (want.w, want.lam, want.f)):
+            assert np.max(np.abs(g - w) / np.abs(w)) < 1e-12
 
 
 def test_objective_pack_unpack_round_trip():
     model = small_model(p=5, seed=16, noise=0.07)
     ds = dataset_on(np.linspace(0.0, 1.0, 6),
                     np.zeros(6))
-    obj = gsm_objective(model, ds)
+    obj = _GsmObjective(model, ds)
     back = obj.unpack(obj.pack(model))
     xs = np.linspace(0.0, 1.0, 9)
     assert np.allclose(back.cov_matrix(xs), model.cov_matrix(xs),
@@ -439,6 +455,18 @@ def test_fit_gsm_ascent_from_generating_parameters():
     assert best[-1] >= trace.objectives[0] - 1e-9
     assert np.all(np.isfinite(latent_eval(model.w, profile.x)))
     assert model.noise_sigma2 > 0
+
+
+def test_fit_gsm_keeps_every_latent_lengthscale():
+    gen = small_model(p=4, seed=17, noise=0.05)
+    gen = replace(gen, lam=replace(gen.lam, se=SEParams(0.5, 0.21)),
+                  f=replace(gen.f, se=SEParams(2.0, 0.37)))
+    profile = gsm_draw_profile(gen, 36, seed=18)
+    model, _ = fit_gsm(profile, gen, OptConfig(max_iterations=20))
+    for fitted, start in ((model.w, gen.w), (model.lam, gen.lam),
+                          (model.f, gen.f)):
+        assert same_bits(fitted.se.theta, start.se.theta)
+        assert fitted.se.sigma2 != start.se.sigma2
 
 
 def test_fit_gsm_rejects_nonfinite_start():

@@ -624,6 +624,41 @@ def test_cli_plot_writes_parseable_svg(tmp_path):
     assert code == 1 and "error:" in stderr
 
 
+@pytest.mark.parametrize("argv, config, code", [
+    (["impute", "--model", "sm", "--seed", "1", "--max-iterations", "0"], None, 2),
+    (["impute", "--model", "sm", "--seed", "1", "--q", "0"], None, 2),
+    (["impute", "--model", "sm", "--seed", "1", "--restarts", "0"], None, 2),
+    (["impute", "--model", "sm", "--seed", "1", "--init-rsm", "-1"], None, 2),
+    (["impute", "--model", "gsm", "--seed", "1", "--n-latent", "1"], None, 2),
+    (["impute", "--model", "medfilt", "--window", "4"], None, 2),
+    (["impute", "--model", "idw", "--power", "-1"], None, 2),
+    (["mask", "--method", "dales", "--count", "-1"], None, 2),
+    (["mask", "--method", "gradient", "--threshold", "-1"], None, 2),
+    (["simulate", "--kind", "turned", "--seed", "1"], "sigma2 = -1", 1),
+    (["simulate", "--kind", "chirp", "--seed", "1"], "n = 0", 1),
+], ids=["max-iterations", "q", "restarts", "init-rsm", "n-latent", "window",
+        "power", "count", "threshold", "sim-sigma2", "sim-n"])
+def test_cli_rejected_values_exit_without_a_traceback(tmp_path, argv, config, code):
+    masked, truth = toy_profile()
+    src = tmp_path / "in.csv"
+    write_profile_csv(masked if argv[0] == "impute" else truth, src)
+    out = tmp_path / "out.csv"
+    if config is None:
+        argv = argv + ["--in", str(src)]
+    else:
+        (tmp_path / "sim.txt").write_text(config + "\n")
+        argv = argv + ["--config", str(tmp_path / "sim.txt")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            got = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code
+    assert "error: " in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_2():
     assert cli_usage_error([]) == 2
     assert cli_usage_error(["frobnicate"]) == 2

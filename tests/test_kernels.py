@@ -241,6 +241,41 @@ def test_gsm_cov_is_psd_on_random_grids(grid):
     assert np.linalg.eigvalsh(m)[0] >= -1e-10 * np.trace(m)
 
 
+@st.composite
+def _stationary_on_points(draw):
+    """Unsorted positions within a random span, and an SE, periodic,
+    spectral mixture or coloured-noise kernel whose length and frequency
+    scales are drawn relative to that span."""
+    span = draw(st.floats(1e-3, 10.0))
+    n = draw(st.integers(1, 40))
+    xs = span * draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    relative = st.floats(-2.0, 1.0).map(lambda e: 10.0**e)
+    sigma2 = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    kind = draw(st.sampled_from(("se", "periodic", "sm", "colored")))
+    if kind == "se":
+        return xs, SEParams(sigma2, span * draw(relative))
+    if kind == "periodic":
+        return xs, PeriodicParams(sigma2, draw(relative), span * draw(relative))
+    if kind == "colored":
+        return xs, NoiseParams("colored", sigma2, span * draw(relative))
+    q = draw(st.integers(1, 3))
+
+    def per_component(lo, hi):
+        return draw(arrays(float, q, elements=st.floats(lo, hi)))
+
+    return xs, SMParams(per_component(1e-3, 1e3), per_component(0.0, 50.0) / span,
+                        (per_component(0.0, 10.0) / span) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stationary_on_points())
+def test_stationary_cov_is_symmetric_and_psd_at_random_points(case):
+    xs, kernel = case
+    m = build_cov(kernel, xs)
+    assert np.array_equal(m, m.T)
+    assert np.linalg.eigvalsh(m)[0] >= -1e-10 * np.trace(m)
+
+
 def test_sm_spectrum_peaks_at_component_frequency():
     # DFT of a narrow-linewidth component concentrates at f
     f = 12.0
