@@ -1,8 +1,11 @@
-"""Classical single-pass imputation baselines.
+"""Classical imputation baselines.
 
-Each function returns a new, fully valid profile; valid heights are
-carried over bitwise.  These are the reference methods GP imputation
-is measured against.
+The constant, nearest-neighbour and IDW fills take one pass; the median
+filter repeats passes until every gap has closed.  Each function returns
+a new, fully valid profile; valid heights are carried over bitwise.
+These are the reference methods GP imputation is measured against.
+Every fill works on whole arrays of missing points at once; the
+windowed ones go through row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -12,12 +15,22 @@ import numpy as np
 from .errors import CoverageError, EmptyDatasetError, PartialFillError
 from .profile import Profile
 
+# largest (missing points x window) band handled in one step
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _check(profile: Profile) -> np.ndarray:
     idx = np.flatnonzero(~profile.valid)
     if profile.n_valid == 0:
         raise EmptyDatasetError("no valid points to impute from")
     return idx
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Row slices whose (rows x width) band stays within _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 def impute_constant(profile: Profile, statistic: str = "mean") -> Profile:
@@ -39,18 +52,35 @@ def impute_nn_mean(profile: Profile) -> Profile:
     idx = _check(profile)
     valid_idx = np.flatnonzero(profile.valid)
     z = profile.z
-    fills = np.empty(len(idx))
-    for k, i in enumerate(idx):
-        pos = np.searchsorted(valid_idx, i)
-        left = valid_idx[pos - 1] if pos > 0 else None
-        right = valid_idx[pos] if pos < len(valid_idx) else None
-        if left is None:
-            fills[k] = z[right]
-        elif right is None:
-            fills[k] = z[left]
-        else:
-            fills[k] = 0.5 * (z[left] + z[right])
+    pos = np.searchsorted(valid_idx, idx)
+    left = z[valid_idx[np.maximum(pos - 1, 0)]]
+    right = z[valid_idx[np.minimum(pos, len(valid_idx) - 1)]]
+    fills = np.where(pos == 0, right, left)
+    both = (pos > 0) & (pos < len(valid_idx))
+    fills[both] = 0.5 * (left[both] + right[both])
     return profile.with_filled(fills)
+
+
+def _window_medians(z: np.ndarray, known: np.ndarray, rows: np.ndarray,
+                    offsets: np.ndarray):
+    """Median of the known heights in each row's window (numpy's median
+    arithmetic) and how many there are; the median of a row with none is
+    meaningless."""
+    cols = rows[:, None] + offsets
+    inside = (cols >= 0) & (cols < len(z))
+    np.clip(cols, 0, len(z) - 1, out=cols)
+    use = inside & known[cols]
+    vals = np.where(use, z[cols], np.inf)
+    vals.sort(axis=1)
+    count = np.count_nonzero(use, axis=1)
+    r = np.arange(len(rows))
+    # unknown entries sort last as +inf, so the median sits at the
+    # middle of each row's first ``count`` entries; numpy sums the middle
+    # entries from +0.0, which turns a -0.0 median into +0.0
+    med = vals[r, np.maximum(count - 1, 0) // 2] + 0.0
+    even = (count > 0) & (count % 2 == 0)
+    med[even] = (med[even] + vals[r[even], count[even] // 2]) / 2
+    return med, count
 
 
 def impute_median_filter(profile: Profile, window: int = 5,
@@ -60,7 +90,8 @@ def impute_median_filter(profile: Profile, window: int = 5,
     Each pass fills every still-missing point that has at least one
     valid-or-filled point inside its centred window with the median of
     those (median of an even count = mean of the two middle values,
-    numpy's convention).  Gaps longer than the window fill inward from
+    numpy's convention); all fills of a pass read the heights as they
+    stood at its start.  Gaps longer than the window fill inward from
     both sides, one pass per layer.  Points still missing after
     ``max_passes`` raise PartialFillError listing their indices.
     """
@@ -71,23 +102,23 @@ def impute_median_filter(profile: Profile, window: int = 5,
     _check(profile)
     z = profile.z.copy()
     known = profile.valid.copy()
-    half = (window - 1) // 2
-    n = profile.n
+    # a window wider than the profile sees nothing more than the profile
+    half = min((window - 1) // 2, profile.n - 1)
+    offsets = np.arange(-half, half + 1)
     for _ in range(max_passes):
         missing = np.flatnonzero(~known)
         if len(missing) == 0:
             break
-        new_vals = {}
-        for i in missing:
-            lo, hi = max(0, i - half), min(n, i + half + 1)
-            vals = z[lo:hi][known[lo:hi]]
-            if len(vals):
-                new_vals[i] = float(np.median(vals))
-        if not new_vals:
+        med = np.empty(len(missing))
+        filled = np.empty(len(missing), dtype=bool)
+        for block in _row_blocks(len(missing), len(offsets)):
+            med[block], count = _window_medians(z, known, missing[block],
+                                                offsets)
+            filled[block] = count > 0
+        if not filled.any():
             break
-        for i, val in new_vals.items():
-            z[i] = val
-            known[i] = True
+        z[missing[filled]] = med[filled]
+        known[missing[filled]] = True
     remaining = np.flatnonzero(~known)
     if len(remaining):
         raise PartialFillError(
@@ -103,7 +134,10 @@ def impute_idw(profile: Profile, power: float = 2.0,
 
     Weights are |x - x_j|^(-power); the radius defaults to 10 grid
     steps.  A missing point with no valid support inside the radius
-    raises CoverageError.
+    raises CoverageError.  The support of each missing point is the
+    band of sorted valid abscissas that ``searchsorted`` finds within
+    the radius, widened by a few ulps so that rounding cannot drop a
+    point the exact test ``|x_j - x| <= radius`` accepts.
     """
     if power <= 0:
         raise ValueError("power must be positive")
@@ -113,14 +147,27 @@ def impute_idw(profile: Profile, power: float = 2.0,
     idx = _check(profile)
     xv = profile.valid_x()
     zv = profile.valid_z()
+    xm = profile.x[idx]
+    slack = 8.0 * np.finfo(float).eps * (np.abs(xm) + radius)
+    first = np.searchsorted(xv, xm - radius - slack, side="left")
+    stop = np.searchsorted(xv, xm + radius + slack, side="right")
     fills = np.empty(len(idx))
-    for k, i in enumerate(idx):
-        d = np.abs(xv - profile.x[i])
-        near = d <= radius
-        if not np.any(near):
+    # one band width for every block, so that a row's sum does not
+    # depend on which rows share its block
+    band = np.arange(int(np.max(stop - first, initial=0)))
+    for block in _row_blocks(len(idx), len(band)):
+        x = xm[block]
+        cols = first[block, None] + band
+        in_band = cols < stop[block, None]
+        np.minimum(cols, len(xv) - 1, out=cols)
+        d = np.abs(xv[cols] - x[:, None])
+        near = in_band & (d <= radius)
+        uncovered = np.flatnonzero(~near.any(axis=1))
+        if len(uncovered):
+            bad = x[uncovered[0]]
             raise CoverageError(
-                f"no valid point within radius {radius:g} of x={profile.x[i]:g}"
+                f"no valid point within radius {radius:g} of x={bad:g}"
             )
-        w = d[near] ** (-power)
-        fills[k] = float(np.sum(w * zv[near]) / np.sum(w))
+        w = np.power(d, -power, out=np.zeros_like(d), where=near)
+        fills[block] = np.sum(w * zv[cols], axis=1) / np.sum(w, axis=1)
     return profile.with_filled(fills)

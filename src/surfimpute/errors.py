@@ -15,7 +15,9 @@ class EmptyDatasetError(SurfImputeError):
 
 
 class NoProfileElementsError(SurfImputeError):
-    """Fewer than two qualified mean-line crossings: Rsm is undefined."""
+    """The profile has no elements to scale a model by: fewer than two
+    qualified mean-line crossings (Rsm is undefined), or a flat profile
+    (Rq is 0)."""
 
 
 class MustImputeFirstError(SurfImputeError):

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NoProfileElementsError
+from .errors import (
+    GridMismatchError,
+    MustImputeFirstError,
+    NoProfileElementsError,
+    NothingToImputeError,
+)
 from .profile import Profile, rq, rsm
 
 
@@ -59,15 +64,15 @@ def evaluate(truth: Profile, masked: Profile, imputed: Profile,
     fraction of true heights inside the closed interval.
     """
     if not np.all(truth.valid):
-        raise ValueError("truth profile must be complete")
+        raise MustImputeFirstError("truth profile must be complete")
     if not np.all(imputed.valid):
-        raise ValueError("imputed profile must be complete")
+        raise MustImputeFirstError("imputed profile must be complete")
     _require_same_positions("masked profile", truth, masked)
     _require_same_positions("imputed profile", truth, imputed)
     miss = ~masked.valid
     n_missing = int(np.count_nonzero(miss))
     if n_missing == 0:
-        raise ValueError("mask has no missing points to score")
+        raise NothingToImputeError("mask has no missing points to score")
 
     err = imputed.z[miss] - truth.z[miss]
     rmse = float(np.sqrt(np.mean(err * err)))

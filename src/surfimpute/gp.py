@@ -441,10 +441,12 @@ def sm_initial_kernel(profile: Profile, q: int = 5,
     its harmonics with small weights."""
     if q < 1:
         raise ValueError("need at least one mixture component")
+    if any(s is not None and not s > 0 for s in (init_rsm, init_rq)):
+        raise ValueError("Rsm and Rq scales must be positive")
     r = float(init_rsm) if init_rsm is not None else rsm(profile)
     a = float(init_rq) if init_rq is not None else rq(profile)
-    if not r > 0 or not a > 0:
-        raise ValueError("Rsm and Rq scales must be positive")
+    if not a > 0:
+        raise NoProfileElementsError("the profile is flat: its Rq is 0")
     freqs = np.array([m / r for m in range(1, q + 1)])
     weights = np.full(q, a * a / (10.0 * q))
     weights[0] = a * a

@@ -439,9 +439,11 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     mean_ratio = float(np.clip(np.mean(ramp) / f_nyq, 1e-6, 1.0 - 1e-6))
     mean_f = math.log(mean_ratio / (1.0 - mean_ratio))
 
+    if rq0 is not None and not rq0 > 0:
+        raise ValueError("Rq scale must be positive")
     amp = float(rq0) if rq0 is not None else rq(profile)
     if not amp > 0:
-        raise ValueError("Rq scale must be positive")
+        raise NoProfileElementsError("the profile is flat: its Rq is 0")
     median_lam = float(np.median(1.0 / ramp))
     se = SEParams(LATENT_SIGMA2, LATENT_THETA_FRAC * span)
     sigma_n2 = noise0 if noise0 is not None else estimate_noise_variance(profile)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .profile import Profile, profile_from_arrays
+from .profile import GRID_REL_TOL, Profile, profile_from_arrays
 
 PROFILE_HEADER = "x_mm,z_um,valid"
 POSTERIOR_HEADER = "x_mm,post_mean,post_lo95,post_hi95"
@@ -33,7 +33,11 @@ def write_profile_csv(profile: Profile, path) -> None:
 
 
 def read_profile_csv(path) -> Profile:
-    x, z, valid = [], [], []
+    """Read a profile CSV; every malformed row is a ConfigError that
+    names its line: an unparsable field, a bad flag, a valid row without
+    a finite height, an abscissa that is not finite or not above the one
+    before it, or a step that breaks the grid's ``GRID_REL_TOL``."""
+    x, z, valid, linenos = [], [], [], []
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
@@ -51,6 +55,11 @@ def read_profile_csv(path) -> Profile:
             flag = int(parts[2])
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno) from exc
+        if not math.isfinite(xv):
+            raise ConfigError("abscissa must be finite", line=lineno)
+        if x and not xv > x[-1]:
+            raise ConfigError("abscissa must be strictly increasing",
+                              line=lineno)
         if flag not in (0, 1):
             raise ConfigError("valid flag must be 0 or 1", line=lineno)
         if flag == 1 and not math.isfinite(zv):
@@ -59,10 +68,23 @@ def read_profile_csv(path) -> Profile:
         x.append(xv)
         z.append(zv)
         valid.append(bool(flag))
+        linenos.append(lineno)
     if not x:
         raise ConfigError("no data rows")
-    return profile_from_arrays(np.array(x), np.array(z),
-                               np.array(valid, dtype=bool))
+    x = np.array(x)
+    try:
+        return profile_from_arrays(x, np.array(z), np.array(valid, dtype=bool))
+    except ValueError as exc:
+        # every x is finite and above the one before, so the grid is not
+        # uniform: name the first step off the median step, which a lone
+        # dropped or shifted row cannot move (it moves the mean step off
+        # every step)
+        steps = np.diff(x)
+        typical = np.median(steps)
+        j = int(np.argmax(np.abs(steps - typical) > GRID_REL_TOL * typical))
+        raise ConfigError(
+            f"{exc}: step {steps[j]:.17g} mm where the typical step is "
+            f"{typical:.17g} mm", line=linenos[j + 1]) from exc
 
 
 def write_posterior_csv(xm, mean, lo95, hi95, path) -> None:

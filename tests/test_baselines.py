@@ -1,12 +1,14 @@
 """Classical imputation baselines: examples, oracles, shared invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfimpute import baselines
 from surfimpute import (
     CoverageError,
     EmptyDatasetError,
@@ -284,3 +286,168 @@ def test_all_methods_reject_empty_dataset():
     for method in ALL_METHODS:
         with pytest.raises(EmptyDatasetError):
             method(p)
+
+
+# ---------------------------------------------------------------------------
+# whole-array fills against per-point reference loops
+#
+# The library fills all missing points of a pass at once.  These loops
+# are the plain per-point definitions it replaced, kept as the oracle.
+
+
+def ref_nn_mean(profile):
+    idx = np.flatnonzero(~profile.valid)
+    if profile.n_valid == 0:
+        raise EmptyDatasetError("no valid points to impute from")
+    valid_idx = np.flatnonzero(profile.valid)
+    z = profile.z
+    fills = np.empty(len(idx))
+    for k, i in enumerate(idx):
+        pos = np.searchsorted(valid_idx, i)
+        left = valid_idx[pos - 1] if pos > 0 else None
+        right = valid_idx[pos] if pos < len(valid_idx) else None
+        if left is None:
+            fills[k] = z[right]
+        elif right is None:
+            fills[k] = z[left]
+        else:
+            fills[k] = 0.5 * (z[left] + z[right])
+    return profile.with_filled(fills)
+
+
+def ref_median_filter(profile, window, max_passes):
+    z = profile.z.copy()
+    known = profile.valid.copy()
+    half = (window - 1) // 2
+    n = profile.n
+    for _ in range(max_passes):
+        missing = np.flatnonzero(~known)
+        if len(missing) == 0:
+            break
+        new_vals = {}
+        for i in missing:
+            lo, hi = max(0, i - half), min(n, i + half + 1)
+            vals = z[lo:hi][known[lo:hi]]
+            if len(vals):
+                new_vals[i] = float(np.median(vals))
+        if not new_vals:
+            break
+        for i, val in new_vals.items():
+            z[i] = val
+            known[i] = True
+    remaining = np.flatnonzero(~known)
+    if len(remaining):
+        raise PartialFillError(
+            f"{len(remaining)} points still missing after {max_passes} passes",
+            remaining,
+        )
+    return profile.with_filled(z[np.flatnonzero(~profile.valid)])
+
+
+def ref_idw(profile, power, radius):
+    idx = np.flatnonzero(~profile.valid)
+    xv = profile.valid_x()
+    zv = profile.valid_z()
+    fills = np.empty(len(idx))
+    for k, i in enumerate(idx):
+        d = np.abs(xv - profile.x[i])
+        near = d <= radius
+        if not np.any(near):
+            raise CoverageError(
+                f"no valid point within radius {radius:g} of x={profile.x[i]:g}"
+            )
+        w = d[near] ** (-power)
+        fills[k] = float(np.sum(w * zv[near]) / np.sum(w))
+    return profile.with_filled(fills)
+
+
+def outcome(fill, *args):
+    try:
+        return fill(*args).z, None
+    except (CoverageError, PartialFillError) as exc:
+        return None, exc
+
+
+def assert_same_outcome(got, want, rtol=0.0, scale=1.0):
+    (z, err), (z_ref, err_ref) = got, want
+    assert type(err) is type(err_ref)
+    if err is not None:
+        assert str(err) == str(err_ref)
+        assert getattr(err, "remaining", None) == getattr(err_ref, "remaining", None)
+        return
+    if rtol == 0.0:
+        assert same_bits(z, z_ref)
+    else:
+        assert np.all(np.abs(z - z_ref) <= rtol * scale)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def run_masked_profiles(draw):
+    # alternating runs of valid and missing points: gaps at either end
+    # and gaps longer than any window turn up often
+    runs = draw(st.lists(st.integers(1, 25), min_size=1, max_size=9))
+    valid = np.concatenate([np.full(r, k % 2 == 0) for k, r in enumerate(runs)])
+    if draw(st.booleans()):
+        valid = ~valid
+    if not valid.any():
+        valid[draw(st.integers(0, len(valid) - 1))] = True
+    n = len(valid)
+    z = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    dx = draw(st.sampled_from([1e-4, 0.01, 1.0]))
+    x0 = draw(st.sampled_from([0.0, -3.7, 125.0]))
+    return Profile(make_grid(x0, dx, n), np.where(valid, z, math.nan), valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=run_masked_profiles(), window=st.sampled_from([3, 5, 7, 9, 11]),
+       max_passes=st.integers(1, 8), power=st.floats(0.5, 4.0),
+       radius_steps=st.integers(1, 40).map(float) | st.floats(1.0, 40.0))
+def test_fills_match_the_per_point_reference(p, window, max_passes, power,
+                                             radius_steps):
+    assert_same_outcome(outcome(impute_nn_mean, p), outcome(ref_nn_mean, p))
+    assert_same_outcome(outcome(impute_median_filter, p, window, max_passes),
+                        outcome(ref_median_filter, p, window, max_passes))
+    # a whole number of steps puts grid points right on the radius, where
+    # rounding decides; a weighted mean of heights is exact to a few ulps
+    # of the largest one
+    radius = radius_steps * p.dx
+    assert_same_outcome(outcome(impute_idw, p, power, radius),
+                        outcome(ref_idw, p, power, radius),
+                        rtol=1e-14, scale=np.max(np.abs(p.valid_z())))
+
+
+def test_idw_blocks_agree_with_one_band(monkeypatch):
+    # a tiny block forces many row blocks of different widths
+    rng = np.random.default_rng(5)
+    n = 300
+    valid = rng.random(n) > 0.6
+    valid[0] = True
+    p = profile_of(np.where(valid, rng.standard_normal(n), math.nan), valid,
+                   dx=0.01)
+    whole = impute_idw(p, power=1.5, radius=0.4)
+    monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 7)
+    blocked = impute_idw(p, power=1.5, radius=0.4)
+    assert same_bits(whole.z, blocked.z)
+    assert same_bits(impute_median_filter(p, window=9).z,
+                     ref_median_filter(p, 9, 1000).z)
+
+
+def test_idw_radius_spanning_the_profile_keeps_a_bounded_band():
+    # every other point missing: k x n_valid would be 2000 x 2000 doubles
+    # (32 MB per array); the row blocks keep the band near 0.5 MB
+    n = 4000
+    valid = np.arange(n) % 2 == 0
+    z = np.where(valid, np.sin(0.01 * np.arange(n)), math.nan)
+    p = profile_of(z, valid, dx=0.01)
+    tracemalloc.start()
+    try:
+        out = impute_idw(p, radius=n * p.dx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(out.valid)
+    assert peak < 8e6

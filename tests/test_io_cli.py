@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from surfimpute import (
     ConfigError,
     GridMismatchError,
+    MustImputeFirstError,
+    NothingToImputeError,
     Profile,
     evaluate,
     impute_constant,
@@ -33,6 +35,7 @@ from surfimpute import (
     write_svg,
 )
 from surfimpute.cli import main
+from surfimpute.io import PROFILE_HEADER
 from surfimpute.plotting import masked_runs, svg_masked_spans
 from surfimpute.profile import GRID_REL_TOL
 
@@ -268,11 +271,12 @@ def test_evaluate_validates_inputs():
     n = truth.n
     complete = np.ones(n, dtype=bool)
 
-    with pytest.raises(ValueError, match="complete"):
+    # faults of the data are domain errors (CLI exit 1), not ValueError
+    with pytest.raises(MustImputeFirstError, match="complete"):
         evaluate(masked, masked, truth)
-    with pytest.raises(ValueError, match="complete"):
+    with pytest.raises(MustImputeFirstError, match="complete"):
         evaluate(truth, masked, masked)
-    with pytest.raises(ValueError, match="no missing"):
+    with pytest.raises(NothingToImputeError, match="no missing"):
         evaluate(truth, truth, truth)
 
     other = profile_from_arrays(truth.x + 1.0, truth.z, complete)
@@ -663,3 +667,178 @@ def test_cli_usage_errors_exit_2():
     assert cli_usage_error([]) == 2
     assert cli_usage_error(["frobnicate"]) == 2
     assert cli_usage_error(["simulate", "--kind", "turned"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed files and data faults: exit 1 with a line number, no traceback
+
+
+def run_main(argv):
+    """(exit code, stderr) of main, usage errors included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def grid_csv_lines():
+    """Header and ten rows at x = i / 100; rows 4 and 5 (lines 6 and 7)
+    are missing."""
+    rows = [f"{i / 100!r},{math.sin(0.3 * i)!r},1" for i in range(10)]
+    rows[4:6] = ["0.04,nan,0", "0.05,nan,0"]
+    return [PROFILE_HEADER, *rows]
+
+
+def _perturbed(lines):
+    lines[4] = "0.0251" + lines[4][lines[4].index(","):]
+    return lines
+
+
+@pytest.mark.parametrize("corrupt, line, message", [
+    (_perturbed, 5, "not a uniform grid"),
+    (lambda ls: ls[:4] + [ls[3]] + ls[4:], 5, "strictly increasing"),
+    (lambda ls: ls[:1] + ls[:0:-1], 3, "strictly increasing"),
+    (lambda ls: ls[:3] + ["nan" + ls[3][ls[3].index(","):]] + ls[4:], 4,
+     "must be finite"),
+], ids=["perturbed-x", "duplicated-row", "reversed-rows", "nan-x"])
+def test_malformed_abscissa_is_a_config_error_at_its_line(tmp_path, corrupt, line,
+                                                          message):
+    lines = grid_csv_lines()
+    assert lines[4].startswith("0.03,")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(corrupt(list(lines))) + "\n")
+    with pytest.raises(ConfigError, match=message) as exc_info:
+        read_profile_csv(bad)
+    assert exc_info.value.line == line
+    code, stderr = run_main(["impute", "--model", "nn", "--in", str(bad),
+                             "--out", str(tmp_path / "o.csv")])
+    assert code == 1 and f"error: line {line}: " in stderr
+    assert "Traceback" not in stderr
+
+
+def test_dropped_row_is_reported_where_the_step_breaks(tmp_path):
+    # the gap moves the mean step off every step; the error names the
+    # row after the dropped one (line 6), not the first row
+    lines = grid_csv_lines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+    with pytest.raises(ConfigError, match="not a uniform grid") as exc_info:
+        read_profile_csv(bad)
+    assert exc_info.value.line == 6
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--model", "gsm", "--wavelength-left", "0.1", "--wavelength-right", "0.1"], 1),
+    (["--model", "sm", "--init-rsm", "0.1"], 1),
+    (["--model", "gsm", "--wavelength-left", "0.1", "--wavelength-right", "0.1",
+      "--init-rq", "0"], 2),
+    (["--model", "sm", "--init-rsm", "0.1", "--init-rq", "-1"], 2),
+    (["--model", "sm", "--init-rsm", "0"], 2),
+], ids=["gsm-flat-data", "sm-flat-data", "gsm-rq-flag", "sm-rq-flag", "sm-rsm-flag"])
+def test_zero_rq_of_the_data_is_a_domain_error_and_a_bad_flag_a_usage_error(
+        tmp_path, argv, code):
+    flat = profile_from_arrays(0.01 * np.arange(40), np.ones(40))
+    src = tmp_path / "flat.csv"
+    write_profile_csv(flat, src)
+    got, stderr = run_main(["impute", "--seed", "1", *argv, "--in", str(src),
+                            "--out", str(tmp_path / "o.csv")])
+    assert got == code and "error: " in stderr
+    assert ("Rq is 0" in stderr) == (code == 1)
+
+
+def test_cli_eval_reports_incomplete_or_unmasked_profiles_as_data_faults(tmp_path):
+    masked, truth = toy_profile()
+    paths = {}
+    for name, prof in (("truth", truth), ("masked", masked)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_profile_csv(prof, paths[name])
+    for truth_path, masked_path, imputed_path, message in [
+        (paths["masked"], paths["masked"], paths["truth"], "must be complete"),
+        (paths["truth"], paths["masked"], paths["masked"], "must be complete"),
+        (paths["truth"], paths["truth"], paths["truth"], "no missing points"),
+    ]:
+        code, stderr = run_main(["eval", "--truth", truth_path, "--masked",
+                                 masked_path, "--imputed", imputed_path])
+        assert code == 1 and message in stderr
+
+
+def corrupt_rows(rows, profile, kind, data):
+    """Apply one corruption; returns (rows, first changed row, faulty).
+
+    ``faulty`` is False only where the result is still a well-formed
+    profile (e.g. a valid row flagged missing, or nan stored as the
+    height of a missing row).
+    """
+    n = len(rows)
+    draw = data.draw
+    if kind == "drop":
+        j = draw(st.integers(1, n - 2), label="row")
+        return rows[:j] + rows[j + 1:], j, True
+    if kind == "duplicate":
+        j = draw(st.integers(0, n - 1), label="row")
+        return rows[:j + 1] + rows[j:], j, True
+    if kind == "swap":
+        i = draw(st.integers(0, n - 2), label="row")
+        j = draw(st.integers(i + 1, n - 1), label="other row")
+        out = list(rows)
+        out[i], out[j] = out[j], out[i]
+        return out, i, True
+    j = draw(st.integers(0, n - 1), label="row")
+    fields = rows[j].split(",")
+    valid = bool(profile.valid[j])
+    if kind == "perturb-x":
+        frac = draw(st.floats(0.01, 0.9) | st.floats(-0.9, -0.01), label="shift")
+        fields[0] = repr(float(profile.x[j] + frac * profile.dx))
+        faulty = True
+    elif kind == "flag":
+        fields[2] = draw(st.sampled_from(["0", "1", "2", "-1", "1.0", "yes", ""]),
+                         label="flag")
+        faulty = fields[2] not in ("0", "1") or (fields[2] == "1" and not valid)
+    else:
+        col = draw(st.integers(0, 2), label="field")
+        fields[col] = {"text": "abc", "nan": "nan", "inf": "inf"}[kind]
+        # a missing row may store any height that parses
+        faulty = not (col == 1 and not valid and kind != "text")
+    out = list(rows)
+    out[j] = ",".join(fields)
+    return out, j, faulty
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["drop", "duplicate", "swap", "text", "nan", "inf",
+                             "flag", "perturb-x"]),
+       role=st.sampled_from(["masked", "truth", "imputed"]), data=st.data())
+def test_cli_corrupted_profile_files_exit_cleanly(kind, role, data,
+                                                  tmp_path_factory):
+    # impute reads the masked file; eval reads all three, one corrupted
+    masked, truth = toy_profile()
+    profiles = {"masked": masked, "truth": truth,
+                "imputed": impute_constant(masked, "mean")}
+    tmp = tmp_path_factory.mktemp("corrupt")
+    paths = {}
+    for name, prof in profiles.items():
+        paths[name] = tmp / f"{name}.csv"
+        write_profile_csv(prof, paths[name])
+    lines = paths[role].read_text().splitlines()
+    rows, first, faulty = corrupt_rows(lines[1:], profiles[role], kind, data)
+    paths[role].write_text("\n".join([lines[0], *rows]) + "\n")
+
+    runs = [["eval", "--truth", str(paths["truth"]), "--masked",
+             str(paths["masked"]), "--imputed", str(paths["imputed"])]]
+    if role == "masked":
+        runs.append(["impute", "--model", "nn", "--in", str(paths["masked"]),
+                     "--out", str(tmp / "out.csv")])
+    for argv in runs:
+        code, stderr = run_main(argv)
+        assert "Traceback" not in stderr
+        if faulty:
+            # data rows start at line 2; a row's fault may only show at
+            # the row after it (a shifted step, a duplicate, a swap)
+            assert code == 1
+            assert any(f"error: line {first + k}: " in stderr for k in (2, 3)), stderr
+        else:
+            assert code in (0, 1, 2)
+            assert code == 0 or "error: " in stderr

@@ -1,9 +1,12 @@
 """Simulators and mask generators: examples, oracles, invariants."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfimpute import (
     ChirpConfig,
@@ -334,3 +337,84 @@ def test_mask_gradient_errors():
                     np.array([True, False, True]))
     with pytest.raises(MustImputeFirstError):
         mask_gradient(holed, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# watershed and mask invariants on random complete profiles
+
+
+@st.composite
+def complete_profiles(draw, min_size=1):
+    n = draw(st.integers(min_size, 60))
+    # small integers make plateaus and ties; floats make generic shapes
+    heights = st.integers(-4, 4).map(float) | st.floats(-1e3, 1e3)
+    z = draw(st.lists(heights, min_size=n, max_size=n))
+    dx = draw(st.sampled_from([1e-4, 0.01, 1.0]))
+    return profile_of(z, dx)
+
+
+def ref_peaks(z):
+    """Lower-middle index of every run of equal heights that stands above
+    its neighbouring runs (a profile end counts as lower)."""
+    runs = []
+    for _, group in itertools.groupby(range(len(z)), key=lambda i: z[i]):
+        group = list(group)
+        runs.append((z[group[0]], (group[0] + group[-1]) // 2))
+    if len(runs) < 2:
+        return []
+    return [mid for r, (v, mid) in enumerate(runs)
+            if (r == 0 or v > runs[r - 1][0])
+            and (r == len(runs) - 1 or v > runs[r + 1][0])]
+
+
+def check_dales(p, dales):
+    for d in dales:
+        assert d.left < d.pit < d.right
+        assert p.z[d.pit] == np.min(p.z[d.left + 1 : d.right])
+        assert d.width == p.x[d.right] - p.x[d.left]
+        assert d.volume >= 0.0
+    for a, b in zip(dales, dales[1:]):
+        assert a.right == b.left
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=complete_profiles(), frac=st.floats(0.0, 1.5))
+def test_watershed_invariants_on_random_profiles(p, frac):
+    unpruned = watershed_dales(p, 0.0)
+    check_dales(p, unpruned)
+    peaks = ref_peaks(p.z)
+    assert [(d.left, d.right) for d in unpruned] == list(zip(peaks, peaks[1:]))
+    t = frac * max((d.volume for d in unpruned), default=1.0)
+    dales = watershed_dales(p, t)
+    check_dales(p, dales)
+    if len(dales) != 1:
+        assert all(d.volume >= t for d in dales)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=complete_profiles(), extra=st.integers(-3, 2), frac=st.floats(0.0, 1.0))
+def test_mask_dales_invalidates_exactly_the_narrowest_interiors(p, extra, frac):
+    t = frac * max((d.volume for d in watershed_dales(p)), default=1.0)
+    dales = watershed_dales(p, t)
+    count = max(len(dales) + extra, 0)
+    if count > len(dales):
+        with pytest.raises(InsufficientFeaturesError):
+            mask_smallest_width_dales(p, count, t)
+        return
+    out = mask_smallest_width_dales(p, count, t)
+    want = p.valid.copy()
+    for d in sorted(dales, key=lambda d: (d.width, d.left))[:count]:
+        want[d.left + 1 : d.right] = False
+    assert np.array_equal(out.valid, want)
+    assert np.array_equal(out.z, p.z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=complete_profiles(min_size=2), q=st.floats(0.0, 1.0))
+def test_mask_gradient_invalidates_exactly_the_steep_points(p, q):
+    slope = np.abs(np.gradient(p.z, p.dx))
+    # a quantile often lands on a slope itself: the limit is inclusive
+    thr = float(np.quantile(slope, q)) or 1.0
+    out = mask_gradient(p, thr)
+    assert np.array_equal(~out.valid, slope > thr)
+    assert np.array_equal(out.z, p.z)
