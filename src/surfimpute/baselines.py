@@ -10,6 +10,8 @@ windowed ones go through row blocks of bounded size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CoverageError, EmptyDatasetError, PartialFillError
@@ -139,10 +141,10 @@ def impute_idw(profile: Profile, power: float = 2.0,
     the radius, widened by a few ulps so that rounding cannot drop a
     point the exact test ``|x_j - x| <= radius`` accepts.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
     radius = 10.0 * profile.dx if radius is None else float(radius)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     idx = _check(profile)
     xv = profile.valid_x()

@@ -171,8 +171,17 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _read_named(reader, path):
+    """``reader(path)``, with the file named in a ConfigError, for the
+    commands that read several files."""
+    try:
+        return reader(path)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _interval_for_mask(masked, posterior_path):
-    xm, _, lo, hi = read_posterior_csv(posterior_path)
+    xm, _, lo, hi = _read_named(read_posterior_csv, posterior_path)
     expected = masked.x[~masked.valid]
     if len(xm) != len(expected) or not np.array_equal(xm, expected):
         raise GridMismatchError(
@@ -182,9 +191,8 @@ def _interval_for_mask(masked, posterior_path):
 
 
 def cmd_eval(args) -> int:
-    truth = read_profile_csv(args.truth)
-    masked = read_profile_csv(args.masked)
-    imputed = read_profile_csv(args.imputed)
+    truth, masked, imputed = (_read_named(read_profile_csv, path)
+                              for path in (args.truth, args.masked, args.imputed))
     lo = hi = None
     if args.posterior is not None:
         lo, hi = _interval_for_mask(masked, args.posterior)
@@ -200,12 +208,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    masked = read_profile_csv(args.infile)
-    imputed = read_profile_csv(args.imputed) if args.imputed else None
-    truth = read_profile_csv(args.truth) if args.truth else None
+    masked = _read_named(read_profile_csv, args.infile)
+    imputed = _read_named(read_profile_csv, args.imputed) if args.imputed else None
+    truth = _read_named(read_profile_csv, args.truth) if args.truth else None
     band_x = band_lo = band_hi = None
     if args.posterior is not None:
-        band_x, _, band_lo, band_hi = read_posterior_csv(args.posterior)
+        band_x, _, band_lo, band_hi = _read_named(read_posterior_csv, args.posterior)
     write_svg(args.out, masked, imputed, truth, band_x, band_lo, band_hi,
               title=args.title)
     print(f"wrote {args.out}")

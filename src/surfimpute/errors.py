@@ -11,7 +11,8 @@ class SurfImputeError(Exception):
 
 
 class EmptyDatasetError(SurfImputeError):
-    """An operation needed at least one valid point and found none."""
+    """An operation found fewer valid points than it needs (none, or
+    one where it needs two)."""
 
 
 class NoProfileElementsError(SurfImputeError):

@@ -85,9 +85,16 @@ def chol_jittered(a: np.ndarray):
 
 def _gaussian_core(a: np.ndarray, y: np.ndarray):
     """``(L, alpha, log N(y | 0, A))`` from A's jitter-ladder factor L,
-    with alpha = A^-1 y solved against that same factor."""
+    with alpha = A^-1 y solved against that same factor.
+
+    potrs solves on fac^T, the Fortran-ordered upper factor L^T in fac's
+    own memory, so the factor is neither rescanned nor copied."""
     fac, _ = chol_jittered(a)
-    alpha = scipy.linalg.cho_solve((fac, True), y)
+    if len(y) == 0:  # the wrapper rejects an empty system
+        return fac, np.zeros(0), 0.0
+    alpha, info = scipy.linalg.lapack.dpotrs(fac.T, y, lower=0)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpotrs: illegal value in argument {-info}")
     logdet = np.sum(np.log(np.diagonal(fac)))
     return fac, alpha, float(-0.5 * y @ alpha - logdet - 0.5 * len(y) * LOG_2PI)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 from scipy.special import expit
 
 from .errors import (
@@ -213,7 +214,7 @@ class _GsmObjective:
     No latent prior is factored or solved during an evaluation.
 
     With phi = 2 pi f(x) x, wc = w cos phi and ws = w sin phi, the
-    profile covariance is K = G o (wc wc^T + ws ws^T) (o elementwise,
+    profile covariance is K = G o ([wc ws] [wc ws]^T) (o elementwise,
     G the Gibbs matrix), so no trigonometric function is evaluated per
     matrix entry.  With M = alpha alpha^T - A^-1 and P = (M o G) [wc ws],
     the per-point sensitivities s_h = rowsum(M o dK/du_h) of the latent
@@ -227,6 +228,10 @@ class _GsmObjective:
     gradient is sqrt(sigma_h^2) B_h^T s_h - v_h, the log sigma_h^2
     gradient s_h (u_h - mean_h) / 2, and the log noise variance gets
     sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
+
+    M is never formed in full: potri leaves the lower triangle of A^-1,
+    syr subtracts alpha alpha^T from it, and the row sums and P come
+    from the symmetric BLAS products symv and symm on lower triangles.
 
     The objective owns its n x n work buffers and writes every matrix
     of an evaluation into them, so a call allocates nothing n x n
@@ -242,20 +247,25 @@ class _GsmObjective:
         if not (model0.lam.n == self.p and model0.f.n == self.p):
             raise ValueError("latent functions must share a representative count")
         n = len(self.xa)
-        self.sq = (self.xa[:, None] - self.xa[None, :]) ** 2
+        self.neg_sq = -((self.xa[:, None] - self.xa[None, :]) ** 2)
         self.specs0 = (model0.w, model0.lam, model0.f)
-        self.maps = []
+        maps = []
         for spec in self.specs0:
             unit = SEParams(1.0, spec.se.theta)
             k_xl = build_cov(unit, self.xa, spec.x_l)
             fac = _latent_factor(unit, spec.x_l)
-            self.maps.append(scipy.linalg.solve_triangular(fac, k_xl.T, lower=True).T)
-        # G (then M o G), 1/d, sq/d (then (2 sq/d - 1) / d), K (then
-        # M o K), A (then M) and a scratch matrix
-        self._g, self._inv_d, self._sq_d, self._k, self._a, self._scratch = (
-            np.empty((n, n)) for _ in range(6)
+            maps.append(scipy.linalg.solve_triangular(fac, k_xl.T, lower=True).T)
+        self.maps = np.stack(maps)  # B_h, stacked 3 x n x p
+        self.means = np.array([[spec.mean] for spec in self.specs0])
+        # G (then N o G), d, -sq/d, A (K plus noise; K alone once
+        # factored, then N o K / d and N o K o (-sq/d) / d) and a scratch
+        # matrix
+        self._g, self._d, self._neg_sq_d, self._a, self._scratch = (
+            np.empty((n, n)) for _ in range(5)
         )
         self._a_diag = self._a.reshape(-1)[:: n + 1]
+        self._k_diag = np.empty(n)
+        self._ones = np.ones(n)
         self._finite = np.empty((n, n), dtype=bool)
 
     def pack(self, model: GsmModel) -> np.ndarray:
@@ -270,7 +280,7 @@ class _GsmObjective:
         if np.shape(raw) != (3 * p + 4,):
             raise ValueError(f"expected {3 * p + 4} optimization coordinates, "
                              f"got shape {np.shape(raw)}")
-        vs = [raw[i * p : (i + 1) * p] for i in range(3)]
+        vs = raw[: 3 * p].reshape(3, p)
         sigma_n2 = float(np.exp(raw[3 * p]))
         sigma2s = np.exp(raw[3 * p + 1 :])
         return vs, sigma_n2, sigma2s
@@ -285,8 +295,8 @@ class _GsmObjective:
                         noise_sigma2=sigma_n2)
 
     def _deviations(self, vs, scales):
-        """u_h(xa) - mean_h = sqrt(sigma_h^2) B_h v_h for each latent."""
-        return [scale * (b @ v) for scale, b, v in zip(scales, self.maps, vs)]
+        """u_h(xa) - mean_h = sqrt(sigma_h^2) B_h v_h, one row per latent."""
+        return scales[:, None] * (self.maps @ vs[:, :, None])[:, :, 0]
 
     def __call__(self, raw: np.ndarray):
         # _evaluate returns -inf for non-finite coordinates,
@@ -310,60 +320,60 @@ class _GsmObjective:
 
         scales = np.sqrt(sigma2s)
         devs = self._deviations(vs, scales)
-        us = [spec.mean + dev for spec, dev in zip(self.specs0, devs)]
-        w = np.exp(us[0])
-        lam = np.exp(us[1])
+        us = self.means + devs
+        w, lam = np.exp(us[:2])
         s_f = expit(us[2])
         f_nyq = self.model0.f.scale
 
-        # profile covariance and likelihood
-        g, inv_d, sq_d = _gibbs_terms(
-            self.sq, lam, lam, out=(self._g, self._inv_d, self._sq_d, self._scratch)
+        # profile covariance and likelihood; K is written into A's buffer
+        g, d, neg_sq_d = _gibbs_terms(
+            self.neg_sq, lam, lam, out=(self._g, self._d, self._neg_sq_d, self._scratch)
         )
-        wc, ws = q = _gsm_quadrature(xa, w, f_nyq * s_f)
-        k = _gsm_from_terms(g, q, q, out=(self._k, self._scratch))
-        a = self._a
-        np.copyto(a, k)
+        q = _gsm_quadrature(xa, w, f_nyq * s_f)
+        wc, ws = q.T
+        a = _gsm_from_terms(g, q, q, out=self._a)
+        np.copyto(self._k_diag, self._a_diag)
         self._a_diag += sigma_n2
         if not np.isfinite(a, out=self._finite).all():
             return rejected
         fac_a, alpha, value = _gaussian_core(a, za)
-        for v in vs:
-            value += -0.5 * v @ v - 0.5 * p * LOG_2PI
+        value += -0.5 * np.sum(vs * vs) - 1.5 * p * LOG_2PI
         if not np.isfinite(value):
             return rejected
+        np.copyto(self._a_diag, self._k_diag)  # A holds K again
 
-        # M overwrites A; potri overwrites the factor with the lower
-        # triangle of A^-1, whose strict upper triangle is zero, so
-        # inv + inv^T is A^-1 once its doubled diagonal is restored
+        # potri overwrites the factor with the lower triangle of A^-1,
+        # whose strict upper triangle is zero, and syr folds alpha
+        # alpha^T into it: N = A^-1 - alpha alpha^T = -M.  The BLAS
+        # products below read only lower triangles, through the
+        # Fortran-ordered views that see them as upper ones.
         inv = _inverse_lower(fac_a)
-        m = np.add(inv, inv.T, out=a)
-        np.copyto(self._a_diag, np.diagonal(inv))
-        tr_inv = np.trace(m)
-        np.subtract(np.multiply.outer(alpha, alpha, out=self._scratch), m, out=m)
+        tr_inv = np.trace(inv)
+        n_low = blas.dsyr(-1.0, alpha, a=inv.T, overwrite_a=1).T
 
-        # per-point sensitivities s_h[k] = sum_j M_kj dK_kj/du_h(x_k)
-        g *= m  # M o G from here on
-        pc, ps = (g @ np.column_stack(q)).T
+        # per-point sensitivities s_h[k] = sum_j M_kj dK_kj/du_h(x_k); with
+        # (2 sq/d - 1) / d = -(2 (-sq/d) + 1) / d, the lambda sum splits
+        # into the row sums of X = N o K / d and of X o (-sq/d)
+        g *= n_low  # N o G, lower triangle
+        pc, ps = blas.dsymm(-1.0, g.T, q).T  # (M o G) [wc ws]
+        a *= n_low
+        a /= d  # X, lower triangle
+        lam_sum = blas.dsymv(1.0, a.T, self._ones)
+        a *= neg_sq_d
+        lam_sum = blas.dsymv(2.0, a.T, self._ones, beta=1.0, y=lam_sum, overwrite_y=1)
         s_w = wc * pc + ws * ps
         df = f_nyq * s_f * (1.0 - s_f)  # df/du at each point
-        sq_d *= 2.0  # becomes (2 sq/d - 1) / d
-        sq_d -= 1.0
-        sq_d *= inv_d
-        m *= k  # M o K from here on
-        sens = [
+        sens = np.stack([
             s_w,
-            0.5 * s_w + lam * lam * np.einsum("ij,ij->i", m, sq_d),
+            0.5 * s_w + lam * lam * lam_sum,
             -TWO_PI * xa * df * (ws * pc - wc * ps),
-        ]
+        ])
 
         grad = np.empty_like(raw)
+        grad[: 3 * p] = (scales[:, None] * (sens[:, None, :] @ self.maps)[:, 0, :] - vs).ravel()
         grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - tr_inv)
-        for h, (b, s) in enumerate(zip(self.maps, sens)):
-            grad[h * p : (h + 1) * p] = scales[h] * (b.T @ s) - vs[h]
-            # u_h - mean_h scales as sqrt(sigma_h^2): du = (u_h - mean_h) / 2
-            grad[3 * p + 1 + h] = 0.5 * s @ devs[h]
-
+        # u_h - mean_h scales as sqrt(sigma_h^2): du = (u_h - mean_h) / 2
+        grad[3 * p + 1 :] = 0.5 * np.einsum("hn,hn->h", sens, devs)
         if not np.all(np.isfinite(grad)):
             return rejected
         return float(value), grad

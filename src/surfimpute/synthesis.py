@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .errors import InsufficientFeaturesError, MustImputeFirstError
+from .errors import EmptyDatasetError, InsufficientFeaturesError, MustImputeFirstError
 from .gp import chol_jittered
 from .kernels import NoiseParams, PeriodicParams
 from .profile import Grid1D, Profile, make_grid
@@ -239,5 +239,7 @@ def mask_gradient(profile: Profile, threshold: float) -> Profile:
         raise MustImputeFirstError("gradient masking needs a complete profile")
     if not threshold > 0:
         raise ValueError("slope threshold must be positive")
+    if profile.n < 2:
+        raise EmptyDatasetError("gradient masking needs at least two points")
     slope = np.gradient(profile.z, profile.dx)
     return profile.with_mask(np.abs(slope) <= threshold)

@@ -177,6 +177,16 @@ def test_idw_symmetric_neighbors_for_any_power():
         assert abs(out.z[1] - 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"power": math.nan}, {"power": math.inf}, {"power": 0.0},
+    {"radius": math.nan}, {"radius": 0.0},
+], ids=["power-nan", "power-inf", "power-zero", "radius-nan", "radius-zero"])
+def test_idw_rejects_a_power_or_radius_outside_its_range(kwargs):
+    p = profile_of([2.0, math.nan, 4.0], [1, 0, 1])
+    with pytest.raises(ValueError, match="power|radius"):
+        impute_idw(p, **kwargs)
+
+
 def test_idw_forced_arithmetic():
     # distances 1 and 2, values 0 and 3, power 1: (0*1 + 3*0.5)/1.5 = 1
     p = profile_of([0.0, math.nan, math.nan, 3.0], [1, 0, 0, 1])

@@ -152,6 +152,11 @@ def test_core_and_inverse_share_the_jittered_factor():
     assert abs(logdens - ref) <= 1e-10 * abs(ref)
 
 
+def test_gaussian_core_of_an_empty_system_is_the_empty_density():
+    fac, alpha, logdens = _gaussian_core(np.zeros((0, 0)), np.zeros(0))
+    assert fac.shape == (0, 0) and alpha.shape == (0,) and logdens == 0.0
+
+
 def test_inverse_of_a_singular_factor_raises():
     fac = np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 3.0]]))
     fac[1, 1] = 0.0

@@ -25,6 +25,7 @@ from surfimpute import (
     make_grid,
     save_gsm,
 )
+from surfimpute.gp import _centered_dataset, _gaussian_core, _inverse_lower
 from surfimpute.gsm import (
     LatentFunctionSpec,
     _GsmObjective,
@@ -34,9 +35,15 @@ from surfimpute.gsm import (
     unwhiten,
     whiten,
 )
-from surfimpute.kernels import SEParams
+from surfimpute.kernels import SEParams, _gsm_from_terms, _gsm_quadrature, gibbs_cov
 from surfimpute.optimize import fd_gradient
 from surfimpute.profile import SurfaceDataset
+from surfimpute.synthesis import (
+    ChirpConfig,
+    chirp_wavelength_at,
+    mask_gradient,
+    simulate_chirp,
+)
 
 LATENT_JITTER = 1e-8
 LOG_2PI = math.log(2.0 * math.pi)
@@ -354,6 +361,102 @@ def test_objective_at_chirp_phases_matches_log_posterior_and_fd():
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
 
+def full_matrix_objective(obj, raw):
+    """The objective's value and gradient from full n x n matrices: M =
+    alpha alpha^T - A^-1 formed in full, P = (M o G) [wc ws] by a dense
+    product and the lambda row sum elementwise.  The reference for the
+    lower-triangle BLAS products of _GsmObjective."""
+    p = obj.p
+    xa, za = obj.xa, obj.za
+    vs, sigma_n2, sigma2s = obj.split(raw)
+    scales = np.sqrt(sigma2s)
+    devs = [scale * (b @ v) for scale, b, v in zip(scales, obj.maps, vs)]
+    us = [spec.mean + dev for spec, dev in zip(obj.specs0, devs)]
+    w, lam, s_f = np.exp(us[0]), np.exp(us[1]), expit(us[2])
+    f_nyq = obj.model0.f.scale
+
+    sq = (xa[:, None] - xa[None, :]) ** 2
+    inv_d = 1.0 / np.add.outer(lam * lam, lam * lam)
+    sq_d = sq * inv_d
+    g = np.sqrt(np.multiply.outer(2.0 * lam, lam) * inv_d) * np.exp(-sq_d)
+    phase = 2.0 * np.pi * f_nyq * s_f * xa
+    wc, ws = w * np.cos(phase), w * np.sin(phase)
+    k = g * (np.multiply.outer(wc, wc) + np.multiply.outer(ws, ws))
+    fac, alpha, value = _gaussian_core(k + sigma_n2 * np.eye(len(xa)), za)
+    for v in vs:
+        value += -0.5 * v @ v - 0.5 * p * LOG_2PI
+
+    inv = _inverse_lower(fac)
+    inv = inv + np.tril(inv, -1).T
+    m = np.outer(alpha, alpha) - inv
+    pc, ps = ((m * g) @ np.column_stack([wc, ws])).T
+    s_w = wc * pc + ws * ps
+    df = f_nyq * s_f * (1.0 - s_f)
+    sens = [
+        s_w,
+        0.5 * s_w + lam * lam * np.sum(m * k * (2.0 * sq_d - 1.0) * inv_d, axis=1),
+        -2.0 * np.pi * xa * df * (ws * pc - wc * ps),
+    ]
+    grad = np.empty_like(raw)
+    grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - np.trace(inv))
+    for h, (b, s) in enumerate(zip(obj.maps, sens)):
+        grad[h * p : (h + 1) * p] = scales[h] * (b.T @ s) - vs[h]
+        grad[3 * p + 1 + h] = 0.5 * s @ devs[h]
+    return float(value), grad
+
+
+def bench_chirp_objective(seed=3):
+    """The objective of the first profile of the benchmark's chirp
+    workload at ``seed`` (n = 174 valid points, 25 representatives),
+    at the benchmark's start model."""
+    config = ChirpConfig(dx=1e-4, n=300)
+    truth = simulate_chirp(config, 1000 * seed)
+    slope = np.gradient(truth.z, truth.dx)
+    masked = mask_gradient(truth, float(np.quantile(np.abs(slope[:100]), 0.5)))
+    left, right = chirp_wavelength_at(config, truth.x[[0, -1]])
+    model0 = make_gsm_model(masked, n_latent=25, wavelength_left=left,
+                            wavelength_right=right,
+                            noise0=1e-3 * float(np.var(masked.valid_z())))
+    centered, _ = _centered_dataset(masked)
+    return _GsmObjective(model0, centered)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_objective_matches_the_full_matrix_oracle_at_the_bench_chirp_input(seed):
+    obj = bench_chirp_objective(seed)
+    assert len(obj.xa) > 150
+    rng = np.random.default_rng(seed)
+    x0 = obj.pack(obj.model0)
+    ds = dataset_on(obj.xa, obj.za)
+    for i, point in enumerate([x0] + [x0 + 0.05 * rng.standard_normal(len(x0))
+                                      for _ in range(3)]):
+        value, grad = obj(point)
+        want_value, want_grad = full_matrix_objective(obj, point)
+        assert np.isfinite(value)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-10 * np.max(np.abs(want_grad))
+        assert abs(value - want_value) <= 1e-10 * abs(want_value)
+        # log_posterior evaluates the latents by latent_eval's own solve
+        # of the ill-conditioned latent prior; away from model0 that
+        # alone puts 1e-10 to 6e-10 relative between the two values
+        posterior = log_posterior(obj.unpack(point), ds)
+        assert abs(value - posterior) <= (1e-10 if i == 0 else 1e-9) * abs(posterior)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+def test_gsm_from_terms_is_bitwise_symmetric_on_the_same_set(n, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0.0, 0.03, n))
+    lam = rng.uniform(1e-4, 4e-3, n)
+    g = gibbs_cov(xs, xs, lam, lam)
+    q = _gsm_quadrature(xs, rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 5000.0, n))
+    k = _gsm_from_terms(g, q, q)
+    assert np.array_equal(g, g.T)
+    assert np.array_equal(k, k.T)
+    # a second, equal quadrature matrix gives the same bits
+    assert np.array_equal(_gsm_from_terms(g, q, q.copy(order="F")), k)
+
+
 def test_objective_rejects_a_vector_of_the_wrong_length():
     model = small_model(p=5, seed=12)
     obj = _GsmObjective(model, dataset_on(np.linspace(0.0, 1.0, 8), np.zeros(8)))
@@ -390,8 +493,8 @@ def test_objective_buffers_carry_no_state_between_calls():
         value, grad = obj(bad)
         assert value == -np.inf and not np.any(grad)
         if bad is w_overflow:
-            # that rejection came after the covariance buffers were written
-            assert not np.all(np.isfinite(obj._k))
+            # that rejection came after K was written into A's buffer
+            assert not np.all(np.isfinite(obj._a))
     v2, g2 = obj(x2)
     v1_again, g1_again = obj(x1)
     for x, v, g in ((x1, v1, g1), (x2, v2, g2), (x1, v1_again, g1_again)):

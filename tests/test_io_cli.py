@@ -636,12 +636,17 @@ def test_cli_plot_writes_parseable_svg(tmp_path):
     (["impute", "--model", "gsm", "--seed", "1", "--n-latent", "1"], None, 2),
     (["impute", "--model", "medfilt", "--window", "4"], None, 2),
     (["impute", "--model", "idw", "--power", "-1"], None, 2),
+    (["impute", "--model", "idw", "--power", "nan"], None, 2),
+    (["impute", "--model", "idw", "--power", "inf"], None, 2),
+    (["impute", "--model", "idw", "--radius", "nan"], None, 2),
+    (["impute", "--model", "idw", "--radius", "0"], None, 2),
     (["mask", "--method", "dales", "--count", "-1"], None, 2),
     (["mask", "--method", "gradient", "--threshold", "-1"], None, 2),
     (["simulate", "--kind", "turned", "--seed", "1"], "sigma2 = -1", 1),
     (["simulate", "--kind", "chirp", "--seed", "1"], "n = 0", 1),
 ], ids=["max-iterations", "q", "restarts", "init-rsm", "n-latent", "window",
-        "power", "count", "threshold", "sim-sigma2", "sim-n"])
+        "power", "power-nan", "power-inf", "radius-nan", "radius-zero", "count",
+        "threshold", "sim-sigma2", "sim-n"])
 def test_cli_rejected_values_exit_without_a_traceback(tmp_path, argv, config, code):
     masked, truth = toy_profile()
     src = tmp_path / "in.csv"
@@ -749,6 +754,34 @@ def test_zero_rq_of_the_data_is_a_domain_error_and_a_bad_flag_a_usage_error(
     assert ("Rq is 0" in stderr) == (code == 1)
 
 
+def test_cli_mask_gradient_on_a_one_row_profile_is_a_data_fault(tmp_path):
+    src = tmp_path / "one.csv"
+    src.write_text(f"{PROFILE_HEADER}\n0.0,1.5,1\n")
+    out = tmp_path / "out.csv"
+    code, stderr = run_main(["mask", "--method", "gradient", "--threshold", "1",
+                             "--in", str(src), "--out", str(out)])
+    assert code == 1 and "error: gradient masking needs at least two points" in stderr
+    assert not out.exists()
+
+
+def test_cli_eval_and_plot_name_the_file_of_a_malformed_csv(tmp_path):
+    paths, post = eval_fixture(tmp_path)
+    for role in ("truth", "masked", "imputed", "posterior"):
+        bad = tmp_path / f"bad-{role}.csv"
+        lines = (post if role == "posterior" else paths[role]).read_text().splitlines()
+        lines[3] = lines[3].replace(",", ",abc,", 1)
+        bad.write_text("\n".join(lines) + "\n")
+        files = {**{k: str(v) for k, v in paths.items()}, "posterior": str(post)}
+        files[role] = str(bad)
+        inputs = ["--truth", files["truth"], "--imputed", files["imputed"],
+                  "--posterior", files["posterior"]]
+        for argv in (["eval", "--masked", files["masked"], *inputs],
+                     ["plot", "--in", files["masked"], *inputs,
+                      "--out", str(tmp_path / "p.svg")]):
+            code, stderr = run_main(argv)
+            assert code == 1 and f"error: {bad}: line 4: " in stderr, (argv[0], stderr)
+
+
 def test_cli_eval_reports_incomplete_or_unmasked_profiles_as_data_faults(tmp_path):
     masked, truth = toy_profile()
     paths = {}
@@ -838,7 +871,10 @@ def test_cli_corrupted_profile_files_exit_cleanly(kind, role, data,
             # data rows start at line 2; a row's fault may only show at
             # the row after it (a shifted step, a duplicate, a swap)
             assert code == 1
-            assert any(f"error: line {first + k}: " in stderr for k in (2, 3)), stderr
+            # eval reads three files and names the one at fault
+            named = f"{paths[role]}: " if argv[0] == "eval" else ""
+            assert any(f"error: {named}line {first + k}: " in stderr
+                       for k in (2, 3)), stderr
         else:
             assert code in (0, 1, 2)
             assert code == 0 or "error: " in stderr

@@ -14,6 +14,7 @@ from surfimpute.kernels import (
     PointwiseLatents,
     SEParams,
     SMParams,
+    _outer,
     build_cov,
     gibbs_cov,
     gsm_cov,
@@ -189,6 +190,26 @@ def test_psd_on_random_grids():
         g = gsm_cov(xs, xs, lat, lat)
         lo = float(np.min(np.linalg.eigvalsh(g)))
         assert lo >= -1e-8 * float(np.max(np.diagonal(g)))
+
+
+def test_outer_equals_ufunc_outer_and_writes_into_out():
+    u, v = RNG.uniform(-2.0, 2.0, 7), RNG.uniform(-2.0, 2.0, 5)
+    out = np.empty((7, 5))
+    got = _outer(u[:, None], v[:, None], out=out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(out, np.multiply.outer(u, v))
+    # a sum with one factor of each product exactly 1, as d = a_i + b_j
+    got = _outer(np.column_stack([u, np.ones(7)]), np.column_stack([np.ones(5), v]))
+    assert np.array_equal(got, np.add.outer(u, v))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _outer(u[:, None], v[:3, None], out=np.empty((7, 5))[:, :3])
+    # an empty set gives an empty matrix, as ufunc.outer does
+    none = np.zeros(0)
+    lat = PointwiseLatents(np.ones(7), np.full(7, 0.1), np.ones(7))
+    empty = PointwiseLatents(none, none, none)
+    assert _outer(u[:, None], none[:, None]).shape == (7, 0)
+    assert gsm_cov(u, none, lat, empty).shape == (7, 0)
+    assert gsm_cov(none, none, empty, empty).shape == (0, 0)
 
 
 def test_gibbs_cov_matches_scalar():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from surfimpute import (
     ChirpConfig,
+    EmptyDatasetError,
     InsufficientFeaturesError,
     MustImputeFirstError,
     Profile,
@@ -305,6 +306,12 @@ def test_mask_gradient_constant_profile_keeps_everything():
     p = profile_of([1.5] * 10)
     out = mask_gradient(p, 1e-9)
     assert np.all(out.valid)
+
+
+def test_mask_gradient_needs_two_points():
+    with pytest.raises(EmptyDatasetError, match="at least two points"):
+        mask_gradient(profile_of([1.5]), 1.0)
+    assert np.all(mask_gradient(profile_of([1.5, 1.5]), 1.0).valid)
 
 
 def test_mask_gradient_ramp_masks_all():
