@@ -108,6 +108,8 @@ def _default_posterior_path(out: str) -> str:
 
 
 def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
+    if args.save_model is not None and args.model != "gsm":
+        parser.error("--save-model is only available for model 'gsm'")
     profile = read_profile_csv(args.infile)
     if args.model in BASELINE_MODELS:
         with _flag_values(parser):
@@ -163,8 +165,6 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
     write_posterior_csv(result.xm, result.post_mean, result.lo95,
                         result.hi95, posterior_path)
     if args.save_model is not None:
-        if args.model != "gsm":
-            parser.error("--save-model is only available for model 'gsm'")
         save_gsm(model, args.save_model)
     print(f"imputed {len(result.xm)} points to {args.out}")
     print(f"posterior written to {posterior_path}")

@@ -26,6 +26,7 @@ import scipy.linalg
 from . import kernels
 from .errors import (
     EmptyDatasetError,
+    FitFailureError,
     NoProfileElementsError,
     NotPositiveDefiniteError,
     NothingToImputeError,
@@ -235,22 +236,13 @@ def _lag_index(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
 def _lag_terms(kernel, noise, tau: np.ndarray):
     """Kernel + noise on grid lags ``tau`` (tau[0] = 0), and that
     table's derivatives with respect to the raw parameters of kernel
-    then noise: ``(table, grads)``.
-
-    White noise sits at lag 0 alone: on one grid, lag 0 is the same
-    point.  A block between two disjoint index sets never reaches lag
-    0, so it gets the noise only when the noise is colored, as
-    ``build_cov`` gives it.
+    then noise: ``(table, grads)``.  Gathered by lag, the table gives
+    every block ``build_cov`` would: white noise sits at lag 0, which
+    two disjoint index sets never reach.
     """
     table, grads = kernels.terms_on_lags(kernel, tau)
-    if noise.kind == "white":
-        table[0] += noise.sigma2
-        noise_grads = np.zeros((1, len(tau)))
-        noise_grads[0, 0] = noise.sigma2
-    else:
-        noise_table, noise_grads = kernels.terms_on_lags(noise, tau)
-        table += noise_table
-    return table, np.concatenate([grads, noise_grads])
+    noise_table, noise_grads = kernels.terms_on_lags(noise, tau)
+    return table + noise_table, np.concatenate([grads, noise_grads])
 
 
 def _grid_predictive(profile: Profile, dataset: SurfaceDataset,
@@ -428,14 +420,20 @@ def fit_gp(profile: Profile, kernel0, noise0, config: OptConfig = OptConfig(),
 
     Returns ``(GPModel, best_trace, all_traces)``.  The valid heights
     are centered before fitting; restarts perturb the start point by
-    +-20 % in log space.
+    +-20 % in log space.  Raises FitFailureError with model=None when a
+    start point or its objective is not finite.
     """
     centered, _ = _centered_dataset(profile)
     objective = _GridMllObjective(centered, profile.dx, kernel0, noise0)
     x0 = np.concatenate([raw_vector(kernel0), raw_vector(noise0)])
-    best_x, best_trace, traces = maximize_restarts(
-        objective, x0, config, n_restarts=n_restarts, seed=seed
-    )
+    try:
+        best_x, best_trace, traces = maximize_restarts(
+            objective, x0, config, n_restarts=n_restarts, seed=seed
+        )
+    except ValueError as exc:
+        if n_restarts < 1:  # a bad argument, not a failed fit
+            raise
+        raise FitFailureError(f"GP fit could not start: {exc}") from exc
     kernel, noise = objective.split(best_x)
     return GPModel(kernel=kernel, noise=noise), best_trace, traces
 

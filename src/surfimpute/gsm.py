@@ -167,10 +167,6 @@ class GsmModel:
     def noise(self) -> NoiseParams:
         return NoiseParams("white", self.noise_sigma2)
 
-    @property
-    def f_nyquist(self) -> float:
-        return self.f.scale
-
     def latents_at(self, xq) -> PointwiseLatents:
         return PointwiseLatents(
             w=latent_eval(self.w, xq),

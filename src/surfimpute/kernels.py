@@ -75,9 +75,10 @@ class SMParams:
         v = np.atleast_1d(np.asarray(self.freq_vars, dtype=float))
         if not (len(w) == len(f) == len(v)) or len(w) == 0:
             raise ValueError("mixture parameter arrays must share a length >= 1")
-        if not np.all(w > 0):
+        # array methods: the fit rebuilds a mixture at every evaluation
+        if not (w > 0).all():
             raise ValueError("mixture weights must be positive")
-        if np.any(f < 0) or np.any(v < 0):
+        if (f < 0).any() or (v < 0).any():
             raise ValueError("frequencies and frequency variances must be >= 0")
         for a in (w, f, v):
             a.setflags(write=False)
@@ -151,10 +152,7 @@ def k_sm(x: float, xp: float, p: SMParams) -> float:
 
 
 def k_noise(x: float, xp: float, p: NoiseParams) -> float:
-    if p.kind == "white":
-        return p.sigma2 if x == xp else 0.0
-    tau = x - xp
-    return p.sigma2 * np.exp(-(tau * tau) / (2.0 * p.theta**2))
+    return float(value_on_lags(p, abs(x - xp)))
 
 
 def k_gibbs(x: float, xp: float, lam: float, lamp: float) -> float:
@@ -184,66 +182,38 @@ def _abs_lag(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
     return np.abs(xs[:, None] - other[None, :])
 
 
-def _se_like(sigma2: float, theta: float, t: np.ndarray) -> np.ndarray:
-    return sigma2 * np.exp(-(t * t) / (2.0 * theta * theta))
-
-
-def _periodic_terms(p: PeriodicParams, t: np.ndarray):
-    """sin(pi t / period) and the periodic kernel's values on lags t."""
-    s = np.sin(np.pi * t / p.period)
-    return s, p.sigma2 * np.exp(-(s * s) / (2.0 * p.theta**2))
-
-
-def _sm_factors(freqs, freq_vars, t: np.ndarray):
-    """Phase 2 pi f t, cos(2 pi f t) and exp(-2 pi^2 v t^2) of spectral
-    mixture components; f and v broadcast against t, so one call can
-    stack every component."""
-    phase = TWO_PI * freqs * t
-    return phase, np.cos(phase), np.exp(-2.0 * np.pi**2 * freq_vars * (t * t))
-
-
 def value_on_lags(kernel, t: np.ndarray) -> np.ndarray:
-    """Stationary kernel evaluated on an array of absolute lags.
+    """Stationary kernel evaluated on an array of absolute lags: the
+    value half of ``terms_on_lags``.
 
-    Shared by the dense matrix builder and the grid simulator; the
-    uniform-grid fit and imputation take values and gradients together
-    from ``terms_on_lags``.  Colored noise is stationary and supported;
-    white noise is not (index identity).
+    Shared by the dense matrix builder and the grid simulator.  White
+    noise is sigma2 at lag 0 alone, which distinct abscissas never
+    reach: sigma2 I on one point set, sigma2 [x = y] across two.
     """
-    t = np.asarray(t, dtype=float)
-    if isinstance(kernel, SEParams):
-        return _se_like(kernel.sigma2, kernel.theta, t)
-    if isinstance(kernel, PeriodicParams):
-        return _periodic_terms(kernel, t)[1]
-    if isinstance(kernel, SMParams):
-        # one component at a time: t may be a dense n x n lag matrix
-        k = np.zeros_like(t)
-        for q in range(kernel.q):
-            _, c, e = _sm_factors(kernel.freqs[q], kernel.freq_vars[q], t)
-            k += kernel.weights[q] * c * e
-        return k
-    if isinstance(kernel, NoiseParams) and kernel.kind == "colored":
-        return _se_like(kernel.sigma2, kernel.theta, t)
-    raise TypeError(f"{type(kernel).__name__} has no stationary lag form")
+    return terms_on_lags(kernel, t)[0]
 
 
 def terms_on_lags(kernel, t: np.ndarray):
     """Stationary kernel on an array of absolute lags, with its
-    derivatives with respect to every raw (log-space) parameter.
+    derivatives with respect to every raw (log-space) parameter; the
+    one place that knows each stationary family's lag function.
 
     Returns ``(value, grads)``; ``grads[i]`` is d(kernel)/d(raw
     parameter i), shaped like t.  One pass shares the transcendentals
     among all rows: a spectral mixture stacks its components, and its
-    value is the sum of its log-weight rows.
+    value is the sum of its log-weight rows.  White noise is sigma2 at
+    lag 0 and nothing elsewhere; its one row is its value.
     """
     t = np.asarray(t, dtype=float)
-    if isinstance(kernel, SEParams) or (
-        isinstance(kernel, NoiseParams) and kernel.kind == "colored"
-    ):
-        k = _se_like(kernel.sigma2, kernel.theta, t)
+    if isinstance(kernel, NoiseParams) and kernel.kind == "white":
+        k = np.where(t == 0.0, kernel.sigma2, 0.0)
+        return k, k[None]
+    if isinstance(kernel, (SEParams, NoiseParams)):
+        k = kernel.sigma2 * np.exp(-(t * t) / (2.0 * kernel.theta * kernel.theta))
         return k, np.stack([k, k * (t * t) / kernel.theta**2])
     if isinstance(kernel, PeriodicParams):
-        s, k = _periodic_terms(kernel, t)
+        s = np.sin(np.pi * t / kernel.period)
+        k = kernel.sigma2 * np.exp(-(s * s) / (2.0 * kernel.theta**2))
         c = np.cos(np.pi * t / kernel.period)
         return k, np.stack([
             k,
@@ -253,8 +223,9 @@ def terms_on_lags(kernel, t: np.ndarray):
     if isinstance(kernel, SMParams):
         col = (slice(None),) + (None,) * t.ndim
         w = kernel.weights[col]
-        phase, c, e = _sm_factors(kernel.freqs[col], kernel.freq_vars[col], t)
-        wce = w * c * e  # d/dlog w_q
+        phase = TWO_PI * kernel.freqs[col] * t
+        e = np.exp(-2.0 * np.pi**2 * kernel.freq_vars[col] * (t * t))
+        wce = w * np.cos(phase) * e  # d/dlog w_q
         grads = np.concatenate([
             wce,
             # d/dlog f_q and d/dlog v_q
@@ -360,90 +331,72 @@ def gsm_cov(xs, ys, lat_x: PointwiseLatents, lat_y: PointwiseLatents) -> np.ndar
 def build_cov(kernel, xs, ys=None) -> np.ndarray:
     """Covariance matrix of ``kernel`` between xs and ys (ys=None: same set).
 
-    Same-set matrices are bitwise symmetric.  White noise uses index
-    identity for the same-set case and exact position equality across
-    two sets.
+    Same-set matrices are bitwise symmetric.  A stationary kernel is
+    its lag form on |x - y|, so white noise counts only where two
+    positions coincide.
     """
     xs = _as_points(xs)
     if ys is not None:
         ys = _as_points(ys)
-    if isinstance(kernel, NoiseParams) and kernel.kind == "white":
-        if ys is None:
-            return kernel.sigma2 * np.eye(len(xs))
-        return kernel.sigma2 * (xs[:, None] == ys[None, :]).astype(float)
-    if isinstance(kernel, (SEParams, PeriodicParams, SMParams, NoiseParams)):
-        return value_on_lags(kernel, _abs_lag(xs, ys))
     if hasattr(kernel, "cov_matrix"):
         return kernel.cov_matrix(xs, ys)
-    raise TypeError(f"no covariance builder for {type(kernel).__name__}")
+    return value_on_lags(kernel, _abs_lag(xs, ys))
 
 
 # ---------------------------------------------------------------------------
 # unconstrained (log-space) parameter vectors and their gradients
 
 
+# each stationary family's positive parameters, in raw-vector order;
+# noise has a correlation length only when colored
+_FIELDS = {
+    SEParams: ("sigma2", "theta"),
+    PeriodicParams: ("sigma2", "theta", "period"),
+    SMParams: ("weights", "freqs", "freq_vars"),
+    NoiseParams: ("sigma2", "theta"),
+}
+
+
+def _fields(kernel) -> tuple:
+    names = _FIELDS.get(type(kernel))
+    if names is None:
+        raise TypeError(f"no raw-vector form for {type(kernel).__name__}")
+    if isinstance(kernel, NoiseParams) and kernel.kind != "colored":
+        return names[:1]
+    return names
+
+
 def raw_vector(kernel) -> np.ndarray:
-    """Unconstrained optimizer representation of the kernel parameters.
+    """Unconstrained optimizer representation of the kernel parameters:
+    the log of each positive field, in the order
 
     SE:        [log sigma2, log theta]
     periodic:  [log sigma2, log theta, log period]
     SM:        [log w_0.., log f_0.., log v_0..]  (grouped by kind)
     noise:     [log sigma2] or [log sigma2, log theta]
+
     Values below 1e-12 are floored before the log.
     """
-    if isinstance(kernel, SEParams):
-        return np.log([kernel.sigma2, kernel.theta])
-    if isinstance(kernel, PeriodicParams):
-        return np.log([kernel.sigma2, kernel.theta, kernel.period])
-    if isinstance(kernel, SMParams):
-        return np.log(
-            np.concatenate(
-                [
-                    kernel.weights,
-                    np.maximum(kernel.freqs, LOG_FLOOR),
-                    np.maximum(kernel.freq_vars, LOG_FLOOR),
-                ]
-            )
-        )
-    if isinstance(kernel, NoiseParams):
-        if kernel.kind == "white":
-            return np.log([max(kernel.sigma2, LOG_FLOOR)])
-        return np.log([max(kernel.sigma2, LOG_FLOOR), kernel.theta])
-    raise TypeError(f"no raw-vector form for {type(kernel).__name__}")
+    values = np.hstack([getattr(kernel, name) for name in _fields(kernel)])
+    return np.log(np.maximum(values, LOG_FLOOR))
 
 
 def with_raw_vector(kernel, vec):
     """Rebuild a kernel of the same type from its unconstrained vector."""
     vec = np.asarray(vec, dtype=float)
-    if len(vec) != n_params(kernel):
-        raise ValueError(
-            f"expected {n_params(kernel)} raw parameters, got {len(vec)}"
-        )
+    n = n_params(kernel)
+    if len(vec) != n:
+        raise ValueError(f"expected {n} raw parameters, got {len(vec)}")
+    names = _fields(kernel)
     val = np.exp(vec)
-    if isinstance(kernel, SEParams):
-        return SEParams(val[0], val[1])
-    if isinstance(kernel, PeriodicParams):
-        return PeriodicParams(val[0], val[1], val[2])
-    if isinstance(kernel, SMParams):
-        q = kernel.q
-        return SMParams(val[:q], val[q : 2 * q], val[2 * q :])
-    if isinstance(kernel, NoiseParams):
-        if kernel.kind == "white":
-            return replace(kernel, sigma2=val[0])
-        return replace(kernel, sigma2=val[0], theta=val[1])
-    raise TypeError(f"no raw-vector form for {type(kernel).__name__}")
+    if hasattr(kernel, "q"):  # a mixture's fields hold one entry per component
+        val = val.reshape(len(names), kernel.q)
+    return replace(kernel, **dict(zip(names, val)))
 
 
 def n_params(kernel) -> int:
-    if isinstance(kernel, SEParams):
-        return 2
-    if isinstance(kernel, PeriodicParams):
-        return 3
-    if isinstance(kernel, SMParams):
-        return 3 * kernel.q
-    if isinstance(kernel, NoiseParams):
-        return 1 if kernel.kind == "white" else 2
-    raise TypeError(f"no raw-vector form for {type(kernel).__name__}")
+    """Length of the kernel's raw vector, counted without taking logs."""
+    return len(_fields(kernel)) * getattr(kernel, "q", 1)
 
 
 def kernel_grad(kernel, xs, index: int) -> np.ndarray:
@@ -455,6 +408,4 @@ def kernel_grad(kernel, xs, index: int) -> np.ndarray:
     xs = _as_points(xs)
     if not 0 <= index < n_params(kernel):
         raise ValueError(f"parameter index {index} out of range")
-    if isinstance(kernel, NoiseParams) and kernel.kind == "white":
-        return build_cov(kernel, xs)  # dOmega/dlog sigma2 = Omega
     return grad_on_lags(kernel, index, _abs_lag(xs, None))

@@ -531,6 +531,26 @@ def test_cli_impute_usage_errors(tmp_path):
     ])
     assert code == 1 and "error:" in stderr
 
+    # only a GSM fit can be saved: refused before any fit or output
+    assert cli_usage_error([
+        "impute", "--model", "se", "--seed", "1", "--save-model",
+        str(tmp_path / "m.txt"), "--in", str(src), "--out", str(out),
+    ]) == 2
+    assert not out.exists() and not (tmp_path / "out.posterior.csv").exists()
+
+
+def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
+    # heights near 1e160 overflow the start variance: the data's fault,
+    # not the flags'
+    masked, _ = toy_profile()
+    huge = profile_from_arrays(masked.x, 1e160 * masked.z, masked.valid)
+    src = tmp_path / "huge.csv"
+    write_profile_csv(huge, src)
+    code, stderr = run_main(["impute", "--model", "se", "--seed", "1",
+                             "--in", str(src), "--out", str(tmp_path / "o.csv")])
+    assert code == 1 and "error: GP fit could not start" in stderr
+    assert "usage:" not in stderr and "Traceback" not in stderr
+
 
 # ---------------------------------------------------------------------------
 # CLI: eval, plot

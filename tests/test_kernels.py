@@ -1,5 +1,6 @@
 """Covariance functions: values, matrices, gradients, PSD behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from surfimpute.kernels import (
     kernel_grad,
     n_params,
     raw_vector,
+    terms_on_lags,
+    value_on_lags,
     with_raw_vector,
 )
 from surfimpute.optimize import fd_gradient
@@ -144,8 +147,20 @@ def test_build_cov_bitwise_symmetric():
 
 
 def test_white_noise_cross_blocks():
-    m = build_cov(NoiseParams("white", 0.5), [0.0, 1.0], [1.0, 2.0])
-    assert np.array_equal(m, [[0.0, 0.0], [0.5, 0.0]])
+    xs, ys = np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0])
+    for s2 in (0.0, 0.5):
+        white = NoiseParams("white", s2)
+        # sigma2 I on one set, sigma2 [x = y] across two
+        for m, want, lags in (
+            (build_cov(white, xs), s2 * np.eye(3), np.abs(xs[:, None] - xs)),
+            (build_cov(white, xs, ys), [[0.0, 0.0], [s2, 0.0], [0.0, 0.0]],
+             np.abs(xs[:, None] - ys)),
+        ):
+            assert np.array_equal(m, want)
+            value, grads = terms_on_lags(white, lags)
+            assert np.array_equal(value_on_lags(white, lags), m)
+            assert np.array_equal(value, m)
+            assert np.array_equal(grads, [m])  # d/dlog sigma2 is the value
 
 
 def test_stationary_translation_invariance():
@@ -317,9 +332,17 @@ def test_sm_spectrum_peaks_at_component_frequency():
 
 def test_raw_vector_round_trip():
     rng = np.random.default_rng(5)
-    for kernel in ALL_STATIONARY + [NoiseParams("white", 0.3), random_sm(3, rng)]:
+    for kernel in ALL_STATIONARY + [
+        NoiseParams("white", 0.3),
+        NoiseParams("white", 0.0),
+        random_sm(3, rng),
+        SMParams([1.0, 2.0], [5.0, 0.0], [0.0, 3.0]),
+    ]:
         vec = raw_vector(kernel)
-        assert len(vec) == n_params(kernel)
+        # one entry per number the kernel holds (white noise has no theta)
+        count = sum(np.size(getattr(kernel, f.name)) for f in dataclasses.fields(kernel)
+                    if f.name != "kind" and getattr(kernel, f.name) is not None)
+        assert len(vec) == n_params(kernel) == count
         back = with_raw_vector(kernel, vec)
         assert np.allclose(raw_vector(back), vec, rtol=0, atol=1e-12)
 
