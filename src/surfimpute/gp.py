@@ -310,6 +310,16 @@ def impute(profile: Profile, model, seed: int) -> ImputationResult:
 # hyperparameter fitting
 
 
+def _height_variance(profile: Profile, fit: str) -> float:
+    """Variance of the valid heights; a FitFailureError for ``fit`` when
+    it overflows (heights of about 1e155 and up), before a start model."""
+    with np.errstate(over="ignore"):
+        var = float(np.var(profile.valid_z()))
+    if var == math.inf:
+        raise FitFailureError(f"{fit} fit could not start: the height variance overflows")
+    return var
+
+
 def estimate_noise_variance(profile: Profile) -> float:
     """Second-difference noise floor estimate on valid runs.
 
@@ -338,7 +348,8 @@ class _GridMllObjective:
     ``_lag_terms`` and the trace terms need only the by-lag sums of
     alpha alpha^T - A^-1: twice the lower-triangle sum at lag > 0, the
     diagonal at lag 0.  For A^-1 that is one bincount of the potri
-    triangle; for alpha alpha^T it is the autocorrelation of alpha
+    result over all lags, whose strict upper triangle is exactly zero;
+    for alpha alpha^T it is the autocorrelation of alpha
     placed on the grid.  The gradient is then one matvec of the table's
     stacked parameter derivatives with those sums.
 
@@ -347,8 +358,8 @@ class _GridMllObjective:
     cannot be factored, gives ``(-inf, zeros)``, so the optimizer stops
     there.
 
-    The objective owns its work buffers (A and the gathered triangle of
-    A^-1), so one instance must not be called from two threads at once.
+    The objective owns its work buffer for A, so one instance must not
+    be called from two threads at once.
     """
 
     def __init__(self, dataset: SurfaceDataset, dx: float, kernel0, noise0):
@@ -358,16 +369,11 @@ class _GridMllObjective:
         self.n_raw = self.nk + n_params(noise0)
         self.za = dataset.za
         idx = dataset.idx_a
-        n = len(idx)
         self.lag_idx = _lag_index(idx)
         self.n_lags = int(idx[-1] - idx[0]) + 1
         self.tau = np.arange(self.n_lags, dtype=float) * dx
         self.grid_pos = idx - idx[0]
-        # flat positions of the lower triangle, in row-major order
-        self.lower_flat = np.flatnonzero(np.tri(n, dtype=bool))
-        self.lower_lags = self.lag_idx.reshape(-1)[self.lower_flat]
-        self._a = np.empty((n, n))
-        self._inv_low = np.empty(len(self.lower_flat))
+        self._a = np.empty(self.lag_idx.shape)
 
     def split(self, raw):
         kernel = with_raw_vector(self.kernel0, raw[: self.nk])
@@ -404,9 +410,8 @@ class _GridMllObjective:
         on_grid = np.zeros(self.n_lags)
         on_grid[self.grid_pos] = alpha
         by_lag = np.correlate(on_grid, on_grid, "full")[self.n_lags - 1 :]
-        inv_low = np.take(_inverse_lower(fac), self.lower_flat, out=self._inv_low,
-                          mode="clip")
-        by_lag -= np.bincount(self.lower_lags, inv_low, minlength=self.n_lags)
+        by_lag -= np.bincount(self.lag_idx.ravel(), _inverse_lower(fac).ravel(),
+                              minlength=self.n_lags)
         by_lag[1:] *= 2.0
         g = 0.5 * (grads @ by_lag)
         if not (np.isfinite(value) and np.all(np.isfinite(g))):
@@ -463,6 +468,7 @@ def fit_sm(profile: Profile, q: int = 5, config: OptConfig = OptConfig(),
            seed: int = 0, init_rsm: float | None = None,
            init_rq: float | None = None, n_restarts: int = 3):
     """Fit a Q-component spectral mixture with white noise."""
+    _height_variance(profile, "GP")
     kernel0 = sm_initial_kernel(profile, q, init_rsm, init_rq)
     return fit_gp(
         profile,
@@ -476,8 +482,7 @@ def fit_sm(profile: Profile, q: int = 5, config: OptConfig = OptConfig(),
 
 def fit_se(profile: Profile, config: OptConfig = OptConfig()):
     """Fit a squared-exponential GP (ordinary-kriging style baseline)."""
-    zv = profile.valid_z()
-    sigma2 = max(float(np.var(zv)), 1e-12)
+    sigma2 = max(_height_variance(profile, "GP"), 1e-12)
     try:
         theta = 0.25 * rsm(profile)
     except NoProfileElementsError:

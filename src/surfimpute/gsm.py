@@ -2,11 +2,12 @@
 
 The kernel k(x,x') = w(x) w(x') k_gibbs(x,x'; lambda) cos(2 pi (f(x) x
 - f(x') x')) gets its three functions from latent GPs: log w and log
-lambda, and logit(f / f_nyquist), each a smooth SE-prior GP summarized
-by representative values at evenly spaced locations.  Fitting maximizes
-the posterior of (representatives, noise, latent variances) with the
-representatives whitened by their latent prior factor, so the optimizer
-works in approximately isotropic coordinates.
+lambda, and logit(f / f_nyquist), each a smooth SE-prior GP held by
+whitened coordinates v at evenly spaced locations: its values there are
+mean + L v, with L the factor of its prior.  A model stores v, and
+fitting maximizes the posterior of (v, noise, latent variances), so the
+optimizer works in approximately isotropic coordinates and a model is
+the optimizer's own state.
 
 Each latent keeps the SE lengthscale of the starting model, its
 prior-knowledge value, so its map from whitened coordinates to the
@@ -31,7 +32,7 @@ from .errors import (
     NoProfileElementsError,
     NotPositiveDefiniteError,
 )
-from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower
+from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _height_variance, _inverse_lower
 # bench/tracing.py wraps gsm.chol_jittered, so the name stays importable here
 from .gp import chol_jittered, estimate_noise_variance  # noqa: F401
 from .io import _fmt, parse_config
@@ -49,7 +50,7 @@ from .kernels import (
 from .optimize import OptConfig, maximize
 from .profile import Profile, SurfaceDataset, rq, rsm
 
-# relative jitter on the latent prior (times the latent variance)
+# diagonal jitter on the unit-variance latent prior
 LATENT_JITTER = 1e-8
 # SE prior of every latent: starting variance, and lengthscale / span,
 # which the fit keeps
@@ -61,15 +62,18 @@ _TRANSFORMS = ("log", "logit")
 
 @dataclass(frozen=True)
 class LatentFunctionSpec:
-    """One latent GP: representatives ubar at locations x_l, an SE prior
-    with constant mean, and the output transform.
+    """One latent GP: whitened coordinates v at locations x_l, an SE
+    prior with constant mean, and the output transform.
 
+    The latent at query points xq is u = mean + sqrt(sigma^2) K_qL L^-T v
+    (``latent_eval``), with L the factor of the unit-variance prior among
+    x_l; at x_l itself that is mean + sqrt(sigma^2) L v up to the jitter.
     transform "log" maps u -> exp(u); "logit" maps u -> scale*expit(u)
     (used for the frequency function, scale = Nyquist frequency).
     """
 
     x_l: np.ndarray
-    ubar: np.ndarray
+    v: np.ndarray
     mean: float
     se: SEParams
     transform: str = "log"
@@ -77,39 +81,34 @@ class LatentFunctionSpec:
 
     def __post_init__(self):
         x_l = np.asarray(self.x_l, dtype=float)
-        ubar = np.asarray(self.ubar, dtype=float)
+        v = np.asarray(self.v, dtype=float)
         if x_l.ndim != 1 or len(x_l) < 1:
             raise ValueError("latent locations must be a non-empty 1-D array")
         if np.any(np.diff(x_l) <= 0):
             raise ValueError("latent locations must be strictly increasing")
-        if ubar.shape != x_l.shape:
-            raise ValueError("representatives must match latent locations")
+        if v.shape != x_l.shape:
+            raise ValueError("whitened coordinates must match latent locations")
         if self.transform not in _TRANSFORMS:
             raise ValueError(f"unknown transform {self.transform!r}")
         if not self.scale > 0:
             raise ValueError("transform scale must be positive")
-        for a in (x_l, ubar):
+        for a in (x_l, v):
             a.setflags(write=False)
         object.__setattr__(self, "x_l", x_l)
-        object.__setattr__(self, "ubar", ubar)
+        object.__setattr__(self, "v", v)
 
     @property
     def n(self) -> int:
         return len(self.x_l)
 
 
-def _apply_transform(spec: LatentFunctionSpec, u: np.ndarray) -> np.ndarray:
-    if spec.transform == "log":
-        return np.exp(u)
-    return spec.scale * expit(u)
-
-
-def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the SE latent prior among the locations
-    ``x_l``, with a relative diagonal jitter of LATENT_JITTER times its
-    variance."""
-    k = build_cov(se, x_l)
-    k[np.diag_indices_from(k)] += LATENT_JITTER * se.sigma2
+def _latent_factor(theta: float, x_l: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the unit-variance SE latent prior with
+    lengthscale ``theta`` among the locations ``x_l``, with a diagonal
+    jitter of LATENT_JITTER.  The jitter is relative, so the factor of
+    the prior with variance sigma^2 is sqrt(sigma^2) times this one."""
+    k = build_cov(SEParams(1.0, theta), x_l)
+    k[np.diag_indices_from(k)] += LATENT_JITTER
     # a lengthscale whose square underflows gives 0/0 entries, which
     # numpy's Cholesky passes through as a NaN factor
     if not np.all(np.isfinite(k)):
@@ -122,29 +121,21 @@ def _latent_factor(se: SEParams, x_l: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def whiten(spec: LatentFunctionSpec) -> np.ndarray:
-    """Representatives -> isotropic coordinates v = L^-1 (ubar - mean)."""
-    fac = _latent_factor(spec.se, spec.x_l)
-    return scipy.linalg.solve_triangular(fac, spec.ubar - spec.mean, lower=True)
-
-
-def unwhiten(spec: LatentFunctionSpec, v) -> LatentFunctionSpec:
-    """Isotropic coordinates -> a spec carrying ubar = mean + L v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.n,):
-        raise ValueError(f"expected {spec.n} whitened coordinates")
-    fac = _latent_factor(spec.se, spec.x_l)
-    return replace(spec, ubar=spec.mean + fac @ v)
+def _latent_map(theta: float, x_l: np.ndarray, xq) -> np.ndarray:
+    """K_qL L^-T of the unit-variance prior: the latent's deviation from
+    its mean at ``xq`` is sqrt(sigma^2) times this map of v."""
+    fac = _latent_factor(theta, x_l)
+    k_lq = build_cov(SEParams(1.0, theta), x_l, xq)
+    return scipy.linalg.solve_triangular(fac, k_lq, lower=True).T
 
 
 def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
-    """Transformed latent function at query points: noise-free GP
-    posterior-mean interpolation of the representatives, then the
-    output transform."""
-    fac = _latent_factor(spec.se, spec.x_l)
-    coef = scipy.linalg.cho_solve((fac, True), spec.ubar - spec.mean)
-    k_ql = build_cov(spec.se, xq, spec.x_l)
-    return _apply_transform(spec, spec.mean + k_ql @ coef)
+    """Transformed latent function at query points: the noise-free GP
+    posterior mean given the latent's values at x_l, then the output
+    transform."""
+    dev = _latent_map(spec.se.theta, spec.x_l, xq) @ spec.v
+    u = spec.mean + math.sqrt(spec.se.sigma2) * dev
+    return np.exp(u) if spec.transform == "log" else spec.scale * expit(u)
 
 
 @dataclass(frozen=True)
@@ -168,11 +159,7 @@ class GsmModel:
         return NoiseParams("white", self.noise_sigma2)
 
     def latents_at(self, xq) -> PointwiseLatents:
-        return PointwiseLatents(
-            w=latent_eval(self.w, xq),
-            lam=latent_eval(self.lam, xq),
-            f=latent_eval(self.f, xq),
-        )
+        return PointwiseLatents(*(latent_eval(s, xq) for s in (self.w, self.lam, self.f)))
 
     def cov_matrix(self, xs, ys=None) -> np.ndarray:
         lat_x = self.latents_at(xs)
@@ -182,15 +169,13 @@ class GsmModel:
 
 def log_posterior(model: GsmModel, dataset: SurfaceDataset) -> float:
     """MAP objective: marginal likelihood plus the standard-normal log
-    density of the whitened representatives (flat in everything else)."""
+    density of the latents' whitened coordinates (flat in everything
+    else)."""
     a = model.cov_matrix(dataset.xa)
     a[np.diag_indices_from(a)] += model.noise_sigma2
     mll = _gaussian_core(a, dataset.za)[2]
-    prior = 0.0
-    for spec in (model.w, model.lam, model.f):
-        v = whiten(spec)
-        prior += -0.5 * float(v @ v) - 0.5 * spec.n * LOG_2PI
-    return mll + prior
+    specs = (model.w, model.lam, model.f)
+    return mll + sum(-0.5 * float(s.v @ s.v) - 0.5 * s.n * LOG_2PI for s in specs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +187,12 @@ class _GsmObjective:
     optimization vector [v_w, v_lam, v_f, log sigma_n^2, log sigma_w^2,
     log sigma_lam^2, log sigma_f^2].
 
-    Every latent keeps model0's SE lengthscale.  The prior jitter is
-    relative, so the factor of a latent's prior is sqrt(sigma_h^2) times
-    that of its unit-variance prior, and the latent at the data
-    abscissas is u_h = mean_h + sqrt(sigma_h^2) B_h v_h with the
-    constant map B_h = K_xL L^-T of the unit-variance prior, built once.
-    No latent prior is factored or solved during an evaluation.
+    The vector is a model's own state: pack and unpack only slice, log
+    and exponentiate.  Every latent keeps model0's SE lengthscale, so
+    the latent at the data abscissas is u_h = mean_h + sqrt(sigma_h^2)
+    B_h v_h with the constant map B_h = K_xL L^-T of the unit-variance
+    prior (``_latent_map``), built once.  No latent prior is factored or
+    solved during an evaluation.
 
     With phi = 2 pi f(x) x, wc = w cos phi and ws = w sin phi, the
     profile covariance is K = G o ([wc ws] [wc ws]^T) (o elementwise,
@@ -241,17 +226,13 @@ class _GsmObjective:
         self.za = dataset.za
         self.p = model0.w.n
         if not (model0.lam.n == self.p and model0.f.n == self.p):
-            raise ValueError("latent functions must share a representative count")
+            raise ValueError("latent functions must have equally many locations")
         n = len(self.xa)
         self.neg_sq = -((self.xa[:, None] - self.xa[None, :]) ** 2)
         self.specs0 = (model0.w, model0.lam, model0.f)
-        maps = []
-        for spec in self.specs0:
-            unit = SEParams(1.0, spec.se.theta)
-            k_xl = build_cov(unit, self.xa, spec.x_l)
-            fac = _latent_factor(unit, spec.x_l)
-            maps.append(scipy.linalg.solve_triangular(fac, k_xl.T, lower=True).T)
-        self.maps = np.stack(maps)  # B_h, stacked 3 x n x p
+        # B_h, stacked 3 x n x p
+        self.maps = np.stack([_latent_map(spec.se.theta, spec.x_l, self.xa)
+                              for spec in self.specs0])
         self.means = np.array([[spec.mean] for spec in self.specs0])
         # G (then N o G), d, -sq/d, A (K plus noise; K alone once
         # factored, then N o K / d and N o K o (-sq/d) / d) and a scratch
@@ -266,10 +247,9 @@ class _GsmObjective:
 
     def pack(self, model: GsmModel) -> np.ndarray:
         specs = (model.w, model.lam, model.f)
-        parts = [whiten(spec) for spec in specs]
-        parts.append([math.log(max(model.noise_sigma2, 1e-300))])
-        parts.append(np.log([spec.se.sigma2 for spec in specs]))
-        return np.concatenate(parts)
+        return np.concatenate([*(spec.v for spec in specs),
+                               [math.log(max(model.noise_sigma2, 1e-300))],
+                               np.log([spec.se.sigma2 for spec in specs])])
 
     def split(self, raw: np.ndarray):
         p = self.p
@@ -283,12 +263,9 @@ class _GsmObjective:
 
     def unpack(self, raw: np.ndarray) -> GsmModel:
         vs, sigma_n2, sigma2s = self.split(raw)
-        specs = []
-        for spec0, v, s2 in zip(self.specs0, vs, sigma2s):
-            spec = replace(spec0, se=SEParams(s2, spec0.se.theta))
-            specs.append(unwhiten(spec, v))
-        return GsmModel(w=specs[0], lam=specs[1], f=specs[2],
-                        noise_sigma2=sigma_n2)
+        w, lam, f = (replace(spec0, v=v, se=SEParams(s2, spec0.se.theta))
+                     for spec0, v, s2 in zip(self.specs0, vs, sigma2s))
+        return GsmModel(w=w, lam=lam, f=f, noise_sigma2=sigma_n2)
 
     def _deviations(self, vs, scales):
         """u_h(xa) - mean_h = sqrt(sigma_h^2) B_h v_h, one row per latent."""
@@ -377,9 +354,9 @@ class _GsmObjective:
 
 def fit_gsm(profile: Profile, model0: GsmModel,
             config: OptConfig = OptConfig()):
-    """Maximize the GSM posterior from ``model0`` over the latent
-    representatives, the noise variance and the latent variances; every
-    latent keeps model0's lengthscale.
+    """Maximize the GSM posterior from ``model0`` over the latents'
+    whitened coordinates, the noise variance and the latent variances;
+    every latent keeps model0's lengthscale.
 
     Returns ``(model, trace)``.  Objective values are comparable only
     within one dataset (the posterior is defined up to a constant).
@@ -414,11 +391,13 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     The frequency latent ramps linearly between 1/wavelength_left at
     the left edge and 1/wavelength_right at the right edge (both mm);
     with no ramp given both default to the estimated Rsm, a flat start.
-    The weight latent starts at Rq, the lengthscale latent at the
-    median ramp wavelength.
+    The ramp's values at the latent locations are whitened once.  The
+    weight latent starts at Rq, the lengthscale latent at the median
+    ramp wavelength, both constant (v = 0).
     """
     if n_latent < 2:
         raise ValueError("need at least two latent locations")
+    _height_variance(profile, "GSM")
     x = profile.x
     span = float(x[-1] - x[0])
     if span <= 0:
@@ -453,13 +432,14 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     median_lam = float(np.median(1.0 / ramp))
     se = SEParams(LATENT_SIGMA2, LATENT_THETA_FRAC * span)
     sigma_n2 = noise0 if noise0 is not None else estimate_noise_variance(profile)
+    v_f = scipy.linalg.solve_triangular(_latent_factor(se.theta, x_l),
+                                        u_f - mean_f, lower=True) / math.sqrt(se.sigma2)
+    flat = np.zeros(n_latent)
 
     return GsmModel(
-        w=LatentFunctionSpec(x_l, np.full(n_latent, math.log(amp)),
-                             math.log(amp), se, "log"),
-        lam=LatentFunctionSpec(x_l, np.full(n_latent, math.log(median_lam)),
-                               math.log(median_lam), se, "log"),
-        f=LatentFunctionSpec(x_l, u_f, mean_f, se, "logit", scale=f_nyq),
+        w=LatentFunctionSpec(x_l, flat, math.log(amp), se, "log"),
+        lam=LatentFunctionSpec(x_l, flat, math.log(median_lam), se, "log"),
+        f=LatentFunctionSpec(x_l, v_f, mean_f, se, "logit", scale=f_nyq),
         noise_sigma2=float(sigma_n2),
     )
 
@@ -468,22 +448,22 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
 # model persistence (flat key = value text)
 
 
+# each latent's keys in a model file, in the order save_gsm writes them
+_LATENT_KEYS = ("transform", "scale", "mean", "sigma2", "theta", "x", "v")
+
+
 def _fmt_list(a) -> str:
     return ",".join(_fmt(v) for v in np.asarray(a, dtype=float))
 
 
 def save_gsm(model: GsmModel, path) -> None:
     """Write the model as flat key = value text (17 significant digits,
-    so a load rebuilds the covariance bitwise)."""
-    lines = ["format = gsm-model-v1", f"noise_sigma2 = {_fmt(model.noise_sigma2)}"]
+    so a load rebuilds the model, and so its covariance, bitwise)."""
+    lines = ["format = gsm-model-v2", f"noise_sigma2 = {_fmt(model.noise_sigma2)}"]
     for name, spec in (("w", model.w), ("lambda", model.lam), ("f", model.f)):
-        lines.append(f"latent_{name}.transform = {spec.transform}")
-        lines.append(f"latent_{name}.scale = {_fmt(spec.scale)}")
-        lines.append(f"latent_{name}.mean = {_fmt(spec.mean)}")
-        lines.append(f"latent_{name}.sigma2 = {_fmt(spec.se.sigma2)}")
-        lines.append(f"latent_{name}.theta = {_fmt(spec.se.theta)}")
-        lines.append(f"latent_{name}.x = {_fmt_list(spec.x_l)}")
-        lines.append(f"latent_{name}.ubar = {_fmt_list(spec.ubar)}")
+        values = (spec.transform, _fmt(spec.scale), _fmt(spec.mean), _fmt(spec.se.sigma2),
+                  _fmt(spec.se.theta), _fmt_list(spec.x_l), _fmt_list(spec.v))
+        lines += [f"latent_{name}.{key} = {value}" for key, value in zip(_LATENT_KEYS, values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -501,9 +481,8 @@ def _transform(s: str) -> str:
 _GSM_SCHEMA = {"format": str, "noise_sigma2": float} | {
     f"latent_{name}.{key}": convert
     for name in ("w", "lambda", "f")
-    for key, convert in (("transform", _transform), ("scale", float),
-                         ("mean", float), ("sigma2", float),
-                         ("theta", float), ("x", _floats), ("ubar", _floats))
+    for key, convert in zip(_LATENT_KEYS, (_transform, float, float, float, float,
+                                           _floats, _floats))
 }
 
 
@@ -512,14 +491,14 @@ def load_gsm(path) -> GsmModel:
     for key in _GSM_SCHEMA:
         if key not in entries:
             raise ConfigError(f"missing key {key!r}")
-    if entries["format"] != "gsm-model-v1":
+    if entries["format"] != "gsm-model-v2":
         raise ConfigError(f"unsupported format {entries['format']!r}")
 
     def latent(name):
         def e(key):
             return entries[f"latent_{name}.{key}"]
         try:
-            return LatentFunctionSpec(e("x"), e("ubar"), e("mean"),
+            return LatentFunctionSpec(e("x"), e("v"), e("mean"),
                                       SEParams(e("sigma2"), e("theta")),
                                       e("transform"), e("scale"))
         except ValueError as exc:

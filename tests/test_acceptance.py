@@ -12,6 +12,7 @@ import statistics
 import time
 
 import numpy as np
+import scipy.linalg
 
 from surfimpute import (
     GsmModel,
@@ -27,7 +28,7 @@ from surfimpute import (
 from surfimpute.cli import main
 from surfimpute.experiments import run_chirp_experiment, run_turned_experiment
 from surfimpute.gp import _GridMllObjective, posterior, sample_posterior
-from surfimpute.gsm import LatentFunctionSpec, _GsmObjective
+from surfimpute.gsm import LatentFunctionSpec, _GsmObjective, _latent_factor
 from surfimpute.kernels import (
     NoiseParams,
     PeriodicParams,
@@ -91,17 +92,16 @@ def test_ac1_gradient_correctness():
     z = 1.2 * np.cos(2.0 * np.pi * 3.0 * x) + 0.1 * rng.standard_normal(n)
     x_l = np.linspace(0.0, 1.0, p)
     se = SEParams(1.0, 0.3)
-    model = GsmModel(
-        w=LatentFunctionSpec(x_l, math.log(1.2)
-                             + 0.2 * rng.standard_normal(p),
-                             math.log(1.2), se, "log"),
-        lam=LatentFunctionSpec(x_l, math.log(0.25)
-                               + 0.1 * rng.standard_normal(p),
-                               math.log(0.25), se, "log"),
-        f=LatentFunctionSpec(x_l, -0.85 + 0.2 * rng.standard_normal(p),
-                             -0.85, se, "logit", scale=10.0),
-        noise_sigma2=0.05,
-    )
+    fac = _latent_factor(se.theta, x_l)
+
+    def latent(mean, sd, transform="log", scale=1.0):
+        # random values at x_l, stored as their whitened coordinates
+        u = mean + sd * rng.standard_normal(p)
+        v = scipy.linalg.solve_triangular(fac, u - mean, lower=True)
+        return LatentFunctionSpec(x_l, v, mean, se, transform, scale)
+
+    model = GsmModel(w=latent(math.log(1.2), 0.2), lam=latent(math.log(0.25), 0.1),
+                     f=latent(-0.85, 0.2, "logit", 10.0), noise_sigma2=0.05)
     gsm_obj = _GsmObjective(model, _dataset(x, z - np.mean(z)))
     x0 = gsm_obj.pack(model)
     gsm_err = 0.0

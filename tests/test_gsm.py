@@ -1,6 +1,6 @@
-"""Latent-GP layer of the non-stationary model: whitening, latent
-interpolation, covariance assembly, MAP objective, fitting, and model
-round trips."""
+"""Latent-GP layer of the non-stationary model: latent interpolation
+from whitened coordinates, covariance assembly, MAP objective, fitting,
+and model round trips."""
 
 import math
 from dataclasses import replace
@@ -20,6 +20,7 @@ from surfimpute import (
     OptConfig,
     Profile,
     fit_gsm,
+    impute,
     load_gsm,
     make_gsm_model,
     make_grid,
@@ -32,11 +33,9 @@ from surfimpute.gsm import (
     _latent_factor,
     latent_eval,
     log_posterior,
-    unwhiten,
-    whiten,
 )
 from surfimpute.kernels import SEParams, _gsm_from_terms, _gsm_quadrature, gibbs_cov
-from surfimpute.optimize import fd_gradient
+from surfimpute.optimize import fd_gradient, maximize
 from surfimpute.profile import SurfaceDataset
 from surfimpute.synthesis import (
     ChirpConfig,
@@ -49,20 +48,29 @@ LATENT_JITTER = 1e-8
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def latent(ubar, mean=0.0, sigma2=1.0, theta=0.3, transform="log",
+def unit_prior(x_l, theta):
+    """The jittered unit-variance SE latent prior among x_l."""
+    t = x_l[:, None] - x_l[None, :]
+    return np.exp(-(t * t) / (2.0 * theta * theta)) + LATENT_JITTER * np.eye(len(x_l))
+
+
+def latent(u, mean=0.0, sigma2=1.0, theta=0.3, transform="log",
            scale=1.0, x_l=None):
-    ubar = np.asarray(ubar, dtype=float)
+    """The latent whose values at x_l are u: its whitened coordinates
+    are v = L^-1 (u - mean) / sigma, L the unit prior's factor."""
+    u = np.asarray(u, dtype=float)
     if x_l is None:
-        x_l = np.linspace(0.0, 1.0, len(ubar))
-    return LatentFunctionSpec(x_l, ubar, mean, SEParams(sigma2, theta),
+        x_l = np.linspace(0.0, 1.0, len(u))
+    fac = np.linalg.cholesky(unit_prior(x_l, theta))
+    v = scipy.linalg.solve_triangular(fac, u - mean, lower=True) / math.sqrt(sigma2)
+    return LatentFunctionSpec(x_l, v, mean, SEParams(sigma2, theta),
                               transform, scale)
 
 
-def latent_prior(spec):
-    t = spec.x_l[:, None] - spec.x_l[None, :]
-    th = spec.se.theta
-    k = spec.se.sigma2 * np.exp(-(t * t) / (2.0 * th * th))
-    return k + (LATENT_JITTER * spec.se.sigma2) * np.eye(spec.n)
+def representatives(spec):
+    """The latent's values at x_l: mean + sigma L v."""
+    fac = np.linalg.cholesky(unit_prior(spec.x_l, spec.se.theta))
+    return spec.mean + math.sqrt(spec.se.sigma2) * (fac @ spec.v)
 
 
 def small_model(p=5, seed=0, noise=0.05, span=1.0):
@@ -87,7 +95,7 @@ def dataset_on(xa, za):
 
 
 # ---------------------------------------------------------------------------
-# latent spec and whitening
+# latent spec and prior factor
 
 
 def test_latent_spec_validation():
@@ -102,48 +110,38 @@ def test_latent_spec_validation():
         latent([0.0, 1.0], transform="logit", scale=0.0)
 
 
-def test_whiten_zero_vector_hits_mean():
-    spec = latent(np.full(6, 0.7), mean=0.7)
-    v = whiten(spec)
-    assert np.allclose(v, 0.0, atol=1e-12)
-    back = unwhiten(spec, np.zeros(6))
-    assert np.allclose(back.ubar, 0.7, atol=1e-12)
-
-
-def test_whiten_round_trip():
-    rng = np.random.default_rng(3)
-    for sigma2, theta in ((1.0, 0.3), (0.04, 0.05), (9.0, 2.0)):
-        spec = latent(rng.standard_normal(8), mean=0.4,
-                      sigma2=sigma2, theta=theta)
-        v = rng.standard_normal(8)
-        got = whiten(unwhiten(spec, v))
-        assert np.max(np.abs(got - v)) < 1e-10
-        round_u = unwhiten(spec, whiten(spec)).ubar
-        assert np.max(np.abs(round_u - spec.ubar)) < 1e-10
-
-
-def test_whiten_diagonal_limit():
-    # theta far below the representative spacing kills the off-diagonal
-    # prior, so whitening reduces to (ubar - mean) / sigma
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal(5)
-    spec = latent(u, mean=0.2, sigma2=4.0, theta=1e-6)
-    v = whiten(spec)
-    want = (u - 0.2) / 2.0
-    assert np.max(np.abs(v - want)) < 1e-6 * np.max(np.abs(want))
-
-
 def test_latent_factor_reconstructs_prior():
-    spec = latent(np.zeros(7), sigma2=2.5, theta=0.4)
-    fac = _latent_factor(spec.se, spec.x_l)
+    x_l = np.linspace(0.0, 1.0, 7)
+    fac = _latent_factor(0.4, x_l)
     rebuilt = fac @ fac.T
-    want = latent_prior(spec)
+    want = unit_prior(x_l, 0.4)
     rel = np.linalg.norm(rebuilt - want) / np.linalg.norm(want)
     assert rel < 1e-8
 
 
 # ---------------------------------------------------------------------------
 # latent interpolation
+
+
+def test_latent_eval_at_zero_v_is_the_mean_everywhere():
+    xq = np.linspace(-0.5, 1.5, 41)
+    for sigma2, theta in ((1.0, 0.3), (0.04, 0.05), (9.0, 2.0)):
+        spec = LatentFunctionSpec(np.linspace(0.0, 1.0, 6), np.zeros(6), 0.7,
+                                  SEParams(sigma2, theta))
+        assert np.array_equal(latent_eval(spec, xq), np.exp(np.full(41, 0.7)))
+        fspec = replace(spec, transform="logit", scale=10.0)
+        assert np.array_equal(latent_eval(fspec, xq), 10.0 * expit(np.full(41, 0.7)))
+
+
+def test_latent_eval_diagonal_limit():
+    # theta far below the location spacing kills the off-diagonal prior,
+    # so the latent at x_l is mean + sigma v
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(5)
+    spec = LatentFunctionSpec(np.linspace(0.0, 1.0, 5), v, 0.2, SEParams(4.0, 1e-6))
+    want = 0.2 + 2.0 * v
+    got = np.log(latent_eval(spec, spec.x_l))
+    assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
 
 def test_latent_eval_reproduces_representatives():
@@ -175,7 +173,7 @@ def test_latent_eval_dense_solve_oracle():
     u = rng.standard_normal(5)
     spec = latent(u, mean=0.1, sigma2=1.5, theta=0.35)
     xq = np.array([0.12, 0.4, 0.81])
-    k = latent_prior(spec)
+    k = 1.5 * unit_prior(spec.x_l, 0.35)
     t = xq[:, None] - spec.x_l[None, :]
     k_ql = 1.5 * np.exp(-(t * t) / (2.0 * 0.35**2))
     want = np.exp(0.1 + k_ql @ np.linalg.solve(k, u - 0.1))
@@ -278,26 +276,24 @@ def test_log_posterior_sum_of_parts():
     cov = model.cov_matrix(xa) + 0.1 * np.eye(10)
     want = multivariate_normal(mean=np.zeros(10), cov=cov).logpdf(za)
     for spec in (model.w, model.lam, model.f):
-        lfac = np.linalg.cholesky(latent_prior(spec))
-        v = scipy.linalg.solve_triangular(lfac, spec.ubar - spec.mean,
-                                          lower=True)
-        want += -0.5 * float(v @ v) - 0.5 * spec.n * LOG_2PI
+        want += -0.5 * float(spec.v @ spec.v) - 0.5 * spec.n * LOG_2PI
     got = log_posterior(model, ds)
     assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_log_posterior_prior_monotone_in_whitened_norm():
-    # observations sit exactly on the representative grid, so shifting a
-    # latent mean while keeping the representatives leaves the covariance
+    # observations sit exactly on the latent locations, so shifting a
+    # latent mean while keeping its values there leaves the covariance
     # (hence the data term) essentially unchanged and only grows ||v||
     model = small_model(p=6, seed=10, noise=0.05)
     rng = np.random.default_rng(11)
     za = rng.standard_normal(6)
     ds = dataset_on(model.w.x_l, za)
+    u_w = representatives(model.w)
     values = []
     for shift in (0.0, 1.0, 2.0):
-        shifted = replace(model, w=replace(model.w, mean=model.w.mean - shift))
-        values.append(log_posterior(shifted, ds))
+        w = latent(u_w, mean=model.w.mean - shift, x_l=model.w.x_l)
+        values.append(log_posterior(replace(model, w=w), ds))
     assert values[0] > values[1] + 0.1
     assert values[1] > values[2] + 0.1
 
@@ -428,18 +424,17 @@ def test_objective_matches_the_full_matrix_oracle_at_the_bench_chirp_input(seed)
     rng = np.random.default_rng(seed)
     x0 = obj.pack(obj.model0)
     ds = dataset_on(obj.xa, obj.za)
-    for i, point in enumerate([x0] + [x0 + 0.05 * rng.standard_normal(len(x0))
-                                      for _ in range(3)]):
+    for point in [x0] + [x0 + 0.05 * rng.standard_normal(len(x0)) for _ in range(3)]:
         value, grad = obj(point)
         want_value, want_grad = full_matrix_objective(obj, point)
         assert np.isfinite(value)
         assert np.max(np.abs(grad - want_grad)) <= 1e-10 * np.max(np.abs(want_grad))
         assert abs(value - want_value) <= 1e-10 * abs(want_value)
-        # log_posterior evaluates the latents by latent_eval's own solve
-        # of the ill-conditioned latent prior; away from model0 that
-        # alone puts 1e-10 to 6e-10 relative between the two values
+        # log_posterior's latent_eval builds the objective's own latent
+        # map, so no solve of the ill-conditioned latent prior separates
+        # the two values
         posterior = log_posterior(obj.unpack(point), ds)
-        assert abs(value - posterior) <= (1e-10 if i == 0 else 1e-9) * abs(posterior)
+        assert abs(value - posterior) <= 1e-12 * abs(posterior)
 
 
 @settings(max_examples=40, deadline=None)
@@ -533,7 +528,7 @@ def test_objective_pack_unpack_round_trip():
                        rtol=1e-12, atol=1e-12)
     assert abs(back.noise_sigma2 - model.noise_sigma2) < 1e-15
     for a, b in ((back.w, model.w), (back.lam, model.lam), (back.f, model.f)):
-        assert np.max(np.abs(a.ubar - b.ubar)) < 1e-9
+        assert same_bits(a.v, b.v)
         assert a.se == b.se
 
 
@@ -575,7 +570,7 @@ def test_fit_gsm_keeps_every_latent_lengthscale():
 def test_fit_gsm_rejects_nonfinite_start():
     gen = small_model(p=4, seed=19)
     profile = gsm_draw_profile(gen, 20, seed=20)
-    bad = replace(gen, w=replace(gen.w, ubar=np.full(4, 800.0)))
+    bad = replace(gen, w=replace(gen.w, v=np.full(4, 800.0)))
     with pytest.raises(FitFailureError) as err:
         fit_gsm(profile, bad, OptConfig(max_iterations=5))
     assert err.value.model is None
@@ -606,6 +601,36 @@ def test_save_load_round_trip(tmp_path):
     assert back.f.scale == model.f.scale
 
 
+def test_a_saved_fit_reloads_to_its_optimizer_state(tmp_path):
+    # a model is the fit's own state: packing a saved and reloaded fit
+    # gives back the optimizer's best vector, and imputing from it gives
+    # the in-memory model's fill
+    gen = small_model(p=4, seed=17, noise=0.05)
+    full = gsm_draw_profile(gen, 36, seed=18)
+    valid = np.ones(36, dtype=bool)
+    valid[15:21] = False
+    profile = Profile(full.grid, np.where(valid, full.z, np.nan), valid)
+    config = OptConfig(max_iterations=20)
+    model, _ = fit_gsm(profile, gen, config)
+    obj = _GsmObjective(gen, _centered_dataset(profile)[0])
+    best_x, _ = maximize(obj, obj.pack(gen), config)
+    path = tmp_path / "model.txt"
+    save_gsm(model, path)
+    back = load_gsm(path)
+    got = obj.pack(back)
+    # the whitened coordinates are stored as they are; the four variances
+    # pass through exp and log, which return most but not all doubles
+    p = gen.w.n
+    assert same_bits(got[: 3 * p], best_x[: 3 * p])
+    assert same_bits(got, obj.pack(model))
+    assert np.max(np.abs(got - best_x)) <= 1e-15
+    for seed in (1, 2):
+        a, b = impute(profile, back, seed), impute(profile, model, seed)
+        for field in ("post_mean", "lo95", "hi95"):
+            assert same_bits(getattr(a, field), getattr(b, field))
+        assert same_bits(a.profile.z, b.profile.z)
+
+
 def test_load_gsm_errors(tmp_path):
     model = small_model(p=3, seed=24)
     good = tmp_path / "good.txt"
@@ -619,7 +644,7 @@ def test_load_gsm_errors(tmp_path):
 
     with pytest.raises(ConfigError):
         load_gsm(write("fmt.txt", "\n".join(
-            ["format = gsm-model-v2"] + lines[1:])))
+            ["format = gsm-model-v1"] + lines[1:])))
     with pytest.raises(ConfigError) as err:
         load_gsm(write("dup.txt", "\n".join(lines + [lines[1]])))
     assert err.value.line == len(lines) + 1
@@ -654,7 +679,7 @@ def test_load_gsm_errors(tmp_path):
     with pytest.raises(ConfigError, match="latent_w"):
         load_gsm(write("order.txt", replaced("latent_w.x", "0,1,0.5")))
     with pytest.raises(ConfigError, match="latent_w"):
-        load_gsm(write("ubar.txt", replaced("latent_w.ubar", "0,1")))
+        load_gsm(write("v.txt", replaced("latent_w.v", "0,1")))
 
 
 def test_make_gsm_model_structure():
@@ -693,8 +718,8 @@ def gsm_models(draw):
     x_l = np.cumsum(draw(st.lists(_positive, min_size=p, max_size=p)))
 
     def spec(transform, scale=1.0):
-        ubar = draw(st.lists(_finite, min_size=p, max_size=p))
-        return LatentFunctionSpec(x_l, ubar, draw(_finite),
+        v = draw(st.lists(_finite, min_size=p, max_size=p))
+        return LatentFunctionSpec(x_l, v, draw(_finite),
                                   SEParams(draw(_positive), draw(_positive)),
                                   transform, scale)
 

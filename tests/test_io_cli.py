@@ -7,6 +7,7 @@ captured with redirect_* so no pytest capture fixtures are needed.
 import contextlib
 import io
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -541,15 +542,19 @@ def test_cli_impute_usage_errors(tmp_path):
 
 def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
     # heights near 1e160 overflow the start variance: the data's fault,
-    # not the flags'
+    # not the flags', and no numpy warning precedes the one error line
     masked, _ = toy_profile()
     huge = profile_from_arrays(masked.x, 1e160 * masked.z, masked.valid)
     src = tmp_path / "huge.csv"
     write_profile_csv(huge, src)
-    code, stderr = run_main(["impute", "--model", "se", "--seed", "1",
-                             "--in", str(src), "--out", str(tmp_path / "o.csv")])
-    assert code == 1 and "error: GP fit could not start" in stderr
-    assert "usage:" not in stderr and "Traceback" not in stderr
+    for model, fit in (("se", "GP"), ("sm", "GP"), ("gsm", "GSM")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stderr = run_main(["impute", "--model", model, "--seed", "1", "--in",
+                                     str(src), "--out", str(tmp_path / "o.csv")])
+        assert code == 1, model
+        assert stderr == f"error: {fit} fit could not start: the height variance overflows\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------
