@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     # subparsers share the top-level parser for usage errors (exit 2)
     try:
         return args.func(args, parser)
-    except (SurfImputeError, FileNotFoundError) as exc:
+    except (SurfImputeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

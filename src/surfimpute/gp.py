@@ -48,6 +48,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 # relative jitter escalation ladder for Cholesky factorizations
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
+# largest block _invert_upper hands to LAPACK trtri, which runs at about
+# 6 GFLOP/s from 128 rows up (OpenBLAS 0.3.31, one thread): past about
+# 64 rows the recursion, whose flops go to trmm, wins, and below it the
+# recursion's Python calls and block copies cost more than they save
+# (CHANGES.md has the sweep)
+_TRTRI_LEAF = 64
+
 # central 95 % interval half-width in standard deviations
 Z95 = 1.959963984540054
 
@@ -100,18 +107,45 @@ def _gaussian_core(a: np.ndarray, y: np.ndarray):
     return fac, alpha, float(-0.5 * y @ alpha - logdet - 0.5 * len(y) * LOG_2PI)
 
 
-def _inverse_lower(fac: np.ndarray) -> np.ndarray:
-    """Lower triangle of A^-1 = (L L^T)^-1 by LAPACK potri; the strict
-    upper triangle is zero, as it is in the factors chol_jittered gives.
+def _invert_upper(u: np.ndarray, offset: int = 0) -> np.ndarray:
+    """U^-1 of an upper-triangular block, by the recursive blocked
+    inverse of Elmroth, Gustavson, Jonsson & Kågström (SIAM Review,
+    2004): invert the diagonal blocks, then U12 <- -U11^-1 U12 U22^-1
+    by two trmm.  LAPACK trtri does the leaves, the strict lower
+    triangle is never touched, and a contiguous u is inverted in place
+    (the wrappers copy a sub-block in and out).  ``offset`` is u's first
+    row in the whole factor, so a zero pivot is named by its global
+    1-based index, as potri's info names it."""
+    n = u.shape[0]
+    if n <= _TRTRI_LEAF:
+        inv, info = scipy.linalg.lapack.dtrtri(u, lower=0, overwrite_c=1)
+        if info > 0:
+            raise NotPositiveDefiniteError(f"factor is singular at pivot {offset + info}")
+        if info < 0:
+            raise np.linalg.LinAlgError(f"dtrtri: illegal value in argument {-info}")
+        return inv
+    k = n // 2
+    u[:k, :k] = _invert_upper(u[:k, :k], offset)
+    u[k:, k:] = _invert_upper(u[k:, k:], offset + k)
+    u12 = scipy.linalg.blas.dtrmm(-1.0, u[:k, :k], u[:k, k:])
+    u[:k, k:] = scipy.linalg.blas.dtrmm(1.0, u[k:, k:], u12, side=1, overwrite_b=1)
+    return u
 
-    Overwrites ``fac``: for the C-ordered factors chol_jittered gives,
-    potri runs in place and the result is a view of fac's memory.
+
+def _inverse_lower(fac: np.ndarray) -> np.ndarray:
+    """Lower triangle of A^-1 = (L L^T)^-1 = U^-1 U^-T with U = L^T; the
+    strict upper triangle is zero, as it is in the factors chol_jittered
+    gives.
+
+    Overwrites ``fac``: fac^T is U, Fortran-ordered, so the blocked
+    triangular inverse and LAPACK lauum run in place and the result is
+    a view of fac's memory.  Up to _TRTRI_LEAF rows this is trtri +
+    lauum, which is what potri does, bit for bit.
     """
-    inv, info = scipy.linalg.lapack.dpotri(fac.T, lower=0, overwrite_c=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(f"factor is singular at pivot {info}")
+    u = _invert_upper(fac.T)
+    inv, info = scipy.linalg.lapack.dlauum(u, lower=0, overwrite_c=1)
     if info < 0:
-        raise np.linalg.LinAlgError(f"dpotri: illegal value in argument {-info}")
+        raise np.linalg.LinAlgError(f"dlauum: illegal value in argument {-info}")
     return inv.T
 
 
@@ -347,11 +381,11 @@ class _GridMllObjective:
     grid, so the training matrix is gathered from the per-lag table of
     ``_lag_terms`` and the trace terms need only the by-lag sums of
     alpha alpha^T - A^-1: twice the lower-triangle sum at lag > 0, the
-    diagonal at lag 0.  For A^-1 that is one bincount of the potri
-    result over all lags, whose strict upper triangle is exactly zero;
-    for alpha alpha^T it is the autocorrelation of alpha
-    placed on the grid.  The gradient is then one matvec of the table's
-    stacked parameter derivatives with those sums.
+    diagonal at lag 0.  For A^-1 that is one bincount over all lags of
+    ``_inverse_lower``'s result, whose strict upper triangle is exactly
+    zero; for alpha alpha^T it is the autocorrelation of alpha placed on
+    the grid.  The gradient is then one matvec of the table's stacked
+    parameter derivatives with those sums.
 
     A point whose coordinates, table, value or gradient are not finite,
     whose kernel or noise the parameter classes reject, or whose matrix

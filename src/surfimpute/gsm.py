@@ -210,9 +210,10 @@ class _GsmObjective:
     gradient s_h (u_h - mean_h) / 2, and the log noise variance gets
     sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
 
-    M is never formed in full: potri leaves the lower triangle of A^-1,
-    syr subtracts alpha alpha^T from it, and the row sums and P come
-    from the symmetric BLAS products symv and symm on lower triangles.
+    M is never formed in full: _inverse_lower leaves the lower triangle
+    of A^-1 (a blocked triangular inverse, then lauum), syr subtracts
+    alpha alpha^T from it, and the row sums and P come from the
+    symmetric BLAS products symv and symm on lower triangles.
 
     The objective owns its n x n work buffers and writes every matrix
     of an evaluation into them, so a call allocates nothing n x n
@@ -315,9 +316,9 @@ class _GsmObjective:
             return rejected
         np.copyto(self._a_diag, self._k_diag)  # A holds K again
 
-        # potri overwrites the factor with the lower triangle of A^-1,
-        # whose strict upper triangle is zero, and syr folds alpha
-        # alpha^T into it: N = A^-1 - alpha alpha^T = -M.  The BLAS
+        # _inverse_lower overwrites the factor with the lower triangle
+        # of A^-1, whose strict upper triangle is zero, and syr folds
+        # alpha alpha^T into it: N = A^-1 - alpha alpha^T = -M.  The BLAS
         # products below read only lower triangles, through the
         # Fortran-ordered views that see them as upper ones.
         inv = _inverse_lower(fac_a)

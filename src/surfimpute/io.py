@@ -23,6 +23,19 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _read_lines(path) -> list[str]:
+    """The file's lines as UTF-8 text; bytes that do not decode are a
+    ConfigError at the line that holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                          f"cannot be decoded",
+                          line=data.count(b"\n", 0, exc.start) + 1) from exc
+
+
 def write_profile_csv(profile: Profile, path) -> None:
     lines = [PROFILE_HEADER]
     for x, z, ok in zip(profile.x, profile.z, profile.valid):
@@ -38,8 +51,7 @@ def read_profile_csv(path) -> Profile:
     a finite height, an abscissa that is not finite or not above the one
     before it, or a step that breaks the grid's ``GRID_REL_TOL``."""
     x, z, valid, linenos = [], [], [], []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != PROFILE_HEADER:
         raise ConfigError(f"expected header {PROFILE_HEADER!r}", line=1)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -102,8 +114,7 @@ def write_posterior_csv(xm, mean, lo95, hi95, path) -> None:
 
 def read_posterior_csv(path):
     """Returns (xm, mean, lo95, hi95) arrays."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != POSTERIOR_HEADER:
         raise ConfigError(f"expected header {POSTERIOR_HEADER!r}", line=1)
     cols = [[], [], [], []]
@@ -129,31 +140,31 @@ def read_posterior_csv(path):
 def parse_config(path, schema: dict) -> dict:
     """Read ``key = value`` lines (# comments, blank lines allowed).
 
-    ``schema`` maps key -> converter; unknown or duplicate keys and
-    unconvertible values raise ConfigError with the line number.
+    ``schema`` maps key -> converter; unknown or duplicate keys,
+    unconvertible values and bytes that are not UTF-8 raise ConfigError
+    with the line number.
     Returns only the keys present.
     """
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError("expected 'key = value'", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r}", line=lineno)
-            if key in out:
-                raise ConfigError(f"duplicate key {key!r}", line=lineno)
-            try:
-                out[key] = schema[key](value)
-            except ConfigError:
-                raise
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}",
-                                  line=lineno) from exc
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("expected 'key = value'", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r}", line=lineno)
+        if key in out:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        try:
+            out[key] = schema[key](value)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}",
+                              line=lineno) from exc
     return out
 

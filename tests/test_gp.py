@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from surfimpute import (
     EmptyDatasetError,
+    InsufficientFeaturesError,
     NotPositiveDefiniteError,
     NothingToImputeError,
     OptConfig,
@@ -104,8 +105,9 @@ def test_chol_escalates_jitter():
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("rank_one", [False, True])
 def test_chol_factor_is_c_ordered_lower_with_zero_upper(order, rank_one):
-    # potri in _inverse_lower and the GSM objective's mirror step rely
-    # on a C-ordered factor whose strict upper triangle is exactly zero
+    # _inverse_lower (it inverts fac^T in place) and the GSM objective's
+    # mirror step rely on a C-ordered factor whose strict upper triangle
+    # is exactly zero
     rng = np.random.default_rng(6)
     b = rng.standard_normal((7, 7))
     v = rng.standard_normal(7)
@@ -129,7 +131,23 @@ def test_chol_gives_up_on_indefinite():
 
 
 # ---------------------------------------------------------------------------
-# Gaussian core and potri inverse
+# Gaussian core and the blocked inverse
+
+
+LEAF = gp._TRTRI_LEAF
+
+
+def potri_inverse(fac):
+    """The oracle of _inverse_lower: LAPACK potri on fac^T in place."""
+    inv, info = scipy.linalg.lapack.dpotri(fac.T, lower=0, overwrite_c=1)
+    assert info == 0
+    return inv.T
+
+
+def spd_factor(n, seed):
+    """Lower Cholesky factor of a well-conditioned SPD matrix."""
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return np.linalg.cholesky(b @ b.T / n + np.eye(n))
 
 
 def test_core_and_inverse_share_the_jittered_factor():
@@ -161,6 +179,37 @@ def test_inverse_of_a_singular_factor_raises():
     fac = np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 3.0]]))
     fac[1, 1] = 0.0
     with pytest.raises(NotPositiveDefiniteError):
+        _inverse_lower(fac)
+
+
+@pytest.mark.parametrize("n", [1, 2, LEAF, LEAF + 1, 2 * LEAF + 1, 174, 261, 934])
+def test_inverse_matches_the_potri_oracle_in_the_factors_memory(n):
+    fac = spd_factor(n, n)
+    want = potri_inverse(fac.copy())
+    inv = _inverse_lower(fac)
+    assert np.shares_memory(inv, fac)
+    assert np.all(np.triu(inv, 1) == 0.0)
+    assert np.max(np.abs(inv - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_inverse_up_to_the_leaf_size_is_potri_bitwise():
+    # a leaf is trtri + lauum, the two halves of potri
+    for n in range(1, LEAF + 1):
+        fac = spd_factor(n, n)
+        want = potri_inverse(fac.copy())
+        assert np.array_equal(_inverse_lower(fac), want)
+
+
+@pytest.mark.parametrize("rows", [(5,), (200,), (260,), (200, 5)],
+                         ids=["first-half", "second-half", "last-row", "two"])
+def test_inverse_names_the_first_zero_pivot_as_potri_does(rows):
+    # n = 261 recurses to leaves of 32 and 33 rows
+    fac = spd_factor(261, 7)
+    for r in rows:
+        fac[r, r] = 0.0
+    _, info = scipy.linalg.lapack.dpotri(fac.T.copy(order="F"), lower=0)
+    assert info == min(rows) + 1
+    with pytest.raises(NotPositiveDefiniteError, match=f"at pivot {info}$"):
         _inverse_lower(fac)
 
 
@@ -474,6 +523,44 @@ def test_grid_objective_agrees_with_dense_mll(case):
     assert abs(val - log_marginal_likelihood(ds, kernel, noise)) < 1e-9
     an = mll_gradient(ds, kernel, noise)
     assert np.max(np.abs(grad - an)) < 1e-9
+
+
+def bench_turned_objective(seed):
+    """The SM grid objective of the first profile of the benchmark's
+    turned workload at ``seed``, and its start point: the narrowest dale
+    masked after pruning at half the largest dale volume, with a masked
+    share of 10-20 %."""
+    for s in range(1000 * seed, 1000 * seed + 1000):
+        truth = synthesis.simulate_turned(synthesis.TurnedSimConfig(n=300), s)
+        dales = synthesis.watershed_dales(truth)
+        threshold = 0.5 * max(d.volume for d in dales)
+        try:
+            masked = synthesis.mask_smallest_width_dales(truth, 1, threshold)
+        except InsufficientFeaturesError:
+            continue
+        if 0.10 <= np.mean(~masked.valid) <= 0.20:
+            break
+    kernel = gp.sm_initial_kernel(masked, q=5)
+    noise = NoiseParams("white", estimate_noise_variance(masked))
+    centered, _ = gp._centered_dataset(masked)
+    obj = _GridMllObjective(centered, masked.dx, kernel, noise)
+    return obj, np.concatenate([raw_vector(kernel), raw_vector(noise)])
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_grid_objective_agrees_with_the_potri_inverse_at_the_bench_turned_input(
+        seed, monkeypatch):
+    obj, x0 = bench_turned_objective(seed)
+    assert len(obj.za) > 2 * LEAF + 1
+    rng = np.random.default_rng(seed)
+    points = [x0] + [x0 + 0.05 * rng.standard_normal(len(x0)) for _ in range(3)]
+    got = [obj(x) for x in points]
+    monkeypatch.setattr(gp, "_inverse_lower", potri_inverse)
+    for (value, grad), x in zip(got, points):
+        want_value, want_grad = obj(x)
+        assert np.isfinite(value)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-10 * np.max(np.abs(want_grad))
 
 
 def test_grid_objective_buffers_carry_no_state_between_calls():

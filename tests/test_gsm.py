@@ -26,6 +26,7 @@ from surfimpute import (
     make_grid,
     save_gsm,
 )
+from surfimpute import gsm
 from surfimpute.gp import _centered_dataset, _gaussian_core, _inverse_lower
 from surfimpute.gsm import (
     LatentFunctionSpec,
@@ -435,6 +436,28 @@ def test_objective_matches_the_full_matrix_oracle_at_the_bench_chirp_input(seed)
         # the two values
         posterior = log_posterior(obj.unpack(point), ds)
         assert abs(value - posterior) <= 1e-12 * abs(posterior)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_objective_agrees_with_the_potri_inverse_at_the_bench_chirp_input(
+        seed, monkeypatch):
+    def potri_inverse(fac):
+        inv, info = scipy.linalg.lapack.dpotri(fac.T, lower=0, overwrite_c=1)
+        assert info == 0
+        return inv.T
+
+    obj = bench_chirp_objective(seed)
+    rng = np.random.default_rng(seed)
+    x0 = obj.pack(obj.model0)
+    points = [x0] + [x0 + 0.05 * rng.standard_normal(len(x0)) for _ in range(3)]
+    got = [obj(x) for x in points]
+    # gsm imports the inverse by name
+    monkeypatch.setattr(gsm, "_inverse_lower", potri_inverse)
+    for (value, grad), x in zip(got, points):
+        want_value, want_grad = obj(x)
+        assert np.isfinite(value)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-10 * np.max(np.abs(want_grad))
 
 
 @settings(max_examples=40, deadline=None)

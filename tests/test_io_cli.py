@@ -36,7 +36,7 @@ from surfimpute import (
     write_svg,
 )
 from surfimpute.cli import main
-from surfimpute.io import PROFILE_HEADER
+from surfimpute.io import POSTERIOR_HEADER, PROFILE_HEADER
 from surfimpute.plotting import masked_runs, svg_masked_spans
 from surfimpute.profile import GRID_REL_TOL
 
@@ -215,6 +215,21 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     assert err.line == 1 and "key = value" in str(err)
     err = attempt("n = 2.5\n")
     assert err.line == 1 and "'n'" in str(err)
+
+
+@pytest.mark.parametrize("reader, head", [
+    (read_profile_csv, PROFILE_HEADER),
+    (read_posterior_csv, POSTERIOR_HEADER),
+    (lambda path: parse_config(path, {"n": int}), "n = 1"),
+], ids=["profile", "posterior", "config"])
+def test_readers_report_undecodable_bytes_at_their_line(tmp_path, reader, head):
+    # a Latin-1 e-acute on line 3, after a blank line
+    p = tmp_path / "f.txt"
+    p.write_bytes(head.encode() + b"\n\n0,\xe9,1\n")
+    with pytest.raises(ConfigError) as exc_info:
+        reader(p)
+    assert exc_info.value.line == 3
+    assert str(exc_info.value) == "line 3: not UTF-8 text: byte 0xe9 cannot be decoded"
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +727,39 @@ def run_main(argv):
         except SystemExit as exc:
             code = exc.code
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("case", ["in-directory", "out-directory", "utf16-profile",
+                                  "binary-config"])
+def test_cli_unreadable_files_exit_1_with_one_error_line(tmp_path, case):
+    masked, _ = toy_profile()
+    src = tmp_path / "in.csv"
+    write_profile_csv(masked, src)
+    out = tmp_path / "out.csv"
+    argv = ["impute", "--model", "mean", "--in", str(src), "--out", str(out)]
+    line = None
+    if case == "in-directory":
+        argv[4] = str(tmp_path)
+    elif case == "out-directory":
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv[6] = str(out)
+    elif case == "utf16-profile":
+        # a UTF-16 byte-order mark in front of the header
+        src.write_bytes(b"\xff\xfe" + src.read_bytes())
+        line = 1
+    else:
+        config = tmp_path / "sim.txt"
+        config.write_bytes(b"n = 100\n# \xff\n")
+        argv = ["simulate", "--kind", "chirp", "--config", str(config),
+                "--seed", "1", "--out", str(out)]
+        line = 2
+    code, stderr = run_main(argv)
+    assert code == 1
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    if line is not None:
+        assert f"error: line {line}: not UTF-8 text" in stderr
+    assert not out.is_file()
 
 
 def grid_csv_lines():
