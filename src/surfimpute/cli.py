@@ -65,6 +65,13 @@ def _load_sim_config(cls, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy's generators refuse a negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @contextlib.contextmanager
 def _flag_values(parser: argparse.ArgumentParser):
     """Report a flag value the library rejects as a usage error (exit
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic profile")
     p.add_argument("--kind", choices=("turned", "chirp"), required=True)
     p.add_argument("--config", help="flat key=value parameter file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=lambda a, _p: cmd_simulate(a))
 
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=GP_MODELS + BASELINE_MODELS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="required for GP models")
+    p.add_argument("--seed", type=_seed, help="required for GP models")
     p.add_argument("--posterior",
                    help="posterior CSV path (GP models; default <out>.posterior.csv)")
     p.add_argument("--init-rsm", type=float, default=None,
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an end-to-end study")
     p.add_argument("--name", choices=("turned", "chirp"), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=lambda a, _p: cmd_experiment(a))
 

@@ -65,12 +65,18 @@ def chol_jittered(a: np.ndarray):
     Tries jitter 0, then 1e-10..1e-4 times the mean diagonal (or 1.0 if
     it is not positive) on a copy's diagonal.  Returns ``(L, jitter_added)``
     with L C-ordered and its strict upper triangle exactly zero; raises
-    NotPositiveDefiniteError when the ladder is exhausted.
+    NotPositiveDefiniteError when the ladder is exhausted, and at O(n)
+    cost for a lower triangle (the one LAPACK reads) that is not finite:
+    potrf reports success on one, but unless a pivot fails, the NaN or
+    infinity reaches the factor's diagonal through the row it sits in.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    dmean = float(np.mean(np.diagonal(a))) if a.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmean = float(np.mean(np.diagonal(a))) if a.size else 0.0
+    if not math.isfinite(dmean):
+        raise NotPositiveDefiniteError("mean diagonal is not finite")
     scale = dmean if dmean > 0 else 1.0
     work = a
     for level in JITTER_LADDER:
@@ -83,6 +89,8 @@ def chol_jittered(a: np.ndarray):
         # C-ordered lower factor whose strict upper triangle is zero
         u, info = scipy.linalg.lapack.dpotrf(work.T, lower=0, clean=1)
         if info == 0:
+            if not np.all(np.isfinite(np.diagonal(u))):
+                raise NotPositiveDefiniteError("matrix is not finite")
             return u.T, jitter
         if info < 0:
             raise np.linalg.LinAlgError(f"dpotrf: illegal value in argument {-info}")
@@ -93,7 +101,8 @@ def chol_jittered(a: np.ndarray):
 
 def _gaussian_core(a: np.ndarray, y: np.ndarray):
     """``(L, alpha, log N(y | 0, A))`` from A's jitter-ladder factor L,
-    with alpha = A^-1 y solved against that same factor.
+    with alpha = A^-1 y solved against that same factor; an A that is
+    not finite raises NotPositiveDefiniteError there.
 
     potrs solves on fac^T, the Fortran-ordered upper factor L^T in fac's
     own memory, so the factor is neither rescanned nor copied."""
@@ -140,13 +149,27 @@ def _inverse_lower(fac: np.ndarray) -> np.ndarray:
     Overwrites ``fac``: fac^T is U, Fortran-ordered, so the blocked
     triangular inverse and LAPACK lauum run in place and the result is
     a view of fac's memory.  Up to _TRTRI_LEAF rows this is trtri +
-    lauum, which is what potri does, bit for bit.
+    lauum, which is what potri does, bit for bit.  An empty system's
+    0 x 0 factor, whose dimensions LAPACK rejects, comes back as it is.
     """
+    if fac.shape[0] == 0:
+        return fac
     u = _invert_upper(fac.T)
     inv, info = scipy.linalg.lapack.dlauum(u, lower=0, overwrite_c=1)
     if info < 0:
         raise np.linalg.LinAlgError(f"dlauum: illegal value in argument {-info}")
     return inv.T
+
+
+def _rejecting_failures(evaluate, raw):
+    """An objective's ``evaluate(raw)`` with floating-point warnings off;
+    a refused factorization gives ``(-inf, zeros)``, a rejected point,
+    and any other error propagates."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return evaluate(raw)
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
+        return -np.inf, np.zeros_like(raw)
 
 
 def _centered_dataset(profile: Profile):
@@ -387,10 +410,11 @@ class _GridMllObjective:
     the grid.  The gradient is then one matvec of the table's stacked
     parameter derivatives with those sums.
 
-    A point whose coordinates, table, value or gradient are not finite,
-    whose kernel or noise the parameter classes reject, or whose matrix
-    cannot be factored, gives ``(-inf, zeros)``, so the optimizer stops
-    there.
+    A point whose coordinates, value or gradient are not finite, whose
+    kernel or noise the parameter classes reject, or whose matrix
+    ``chol_jittered`` refuses (not finite, or not positive definite),
+    gives ``(-inf, zeros)``, so the optimizer stops there.  Neither the
+    table nor A is scanned: chol_jittered refuses a non-finite A.
 
     The objective owns its work buffer for A, so one instance must not
     be called from two threads at once.
@@ -415,13 +439,7 @@ class _GridMllObjective:
         return kernel, noise
 
     def __call__(self, raw):
-        # a factorization that fails on a finite matrix is -inf too; any
-        # other error is a fault and propagates
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return self._evaluate(raw)
-        except (NotPositiveDefiniteError, np.linalg.LinAlgError):
-            return -np.inf, np.zeros_like(raw)
+        return _rejecting_failures(self._evaluate, raw)
 
     def _evaluate(self, raw):
         if np.shape(raw) != (self.n_raw,):
@@ -435,8 +453,6 @@ class _GridMllObjective:
         except ValueError:  # a parameter class rejects an under- or overflow
             return rejected
         table, grads = _lag_terms(kernel, noise, self.tau)
-        if not np.all(np.isfinite(table)):
-            return rejected
         # mode "clip" writes straight into out (the default buffers it);
         # every index is in range by construction
         a = np.take(table, self.lag_idx, out=self._a, mode="clip")
@@ -460,7 +476,9 @@ def fit_gp(profile: Profile, kernel0, noise0, config: OptConfig = OptConfig(),
     Returns ``(GPModel, best_trace, all_traces)``.  The valid heights
     are centered before fitting; restarts perturb the start point by
     +-20 % in log space.  Raises FitFailureError with model=None when a
-    start point or its objective is not finite.
+    start point or its objective is not finite.  A run whose objective
+    turns non-finite later stops there with ``termination == "nonfinite"``
+    and keeps its best finite iterate (``fit_gsm`` raises instead).
     """
     centered, _ = _centered_dataset(profile)
     objective = _GridMllObjective(centered, profile.dx, kernel0, noise0)

@@ -33,8 +33,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _height_variance, _inverse_lower
-# bench/tracing.py wraps gsm.chol_jittered, so the name stays importable here
-from .gp import chol_jittered, estimate_noise_variance  # noqa: F401
+from .gp import _rejecting_failures, chol_jittered, estimate_noise_variance
 from .io import _fmt, parse_config
 from .kernels import (
     TWO_PI,
@@ -106,19 +105,16 @@ def _latent_factor(theta: float, x_l: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the unit-variance SE latent prior with
     lengthscale ``theta`` among the locations ``x_l``, with a diagonal
     jitter of LATENT_JITTER.  The jitter is relative, so the factor of
-    the prior with variance sigma^2 is sqrt(sigma^2) times this one."""
+    the prior with variance sigma^2 is sqrt(sigma^2) times this one.
+    A prior that is not finite (a lengthscale whose square underflows),
+    or that chol_jittered factors only with more jitter, raises
+    NotPositiveDefiniteError, so the prior is always exactly this one."""
     k = build_cov(SEParams(1.0, theta), x_l)
     k[np.diag_indices_from(k)] += LATENT_JITTER
-    # a lengthscale whose square underflows gives 0/0 entries, which
-    # numpy's Cholesky passes through as a NaN factor
-    if not np.all(np.isfinite(k)):
-        raise NotPositiveDefiniteError("latent prior is not finite")
-    try:
-        return np.linalg.cholesky(k)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "latent prior is not positive definite"
-        ) from exc
+    fac, jitter = chol_jittered(k)
+    if jitter:
+        raise NotPositiveDefiniteError("latent prior is not positive definite")
+    return fac
 
 
 def _latent_map(theta: float, x_l: np.ndarray, xq) -> np.ndarray:
@@ -244,7 +240,6 @@ class _GsmObjective:
         self._a_diag = self._a.reshape(-1)[:: n + 1]
         self._k_diag = np.empty(n)
         self._ones = np.ones(n)
-        self._finite = np.empty((n, n), dtype=bool)
 
     def pack(self, model: GsmModel) -> np.ndarray:
         specs = (model.w, model.lam, model.f)
@@ -273,15 +268,9 @@ class _GsmObjective:
         return scales[:, None] * (self.maps @ vs[:, :, None])[:, :, 0]
 
     def __call__(self, raw: np.ndarray):
-        # _evaluate returns -inf for non-finite coordinates,
-        # hyperparameters, covariance or gradient; a factorization that
-        # fails on a finite matrix is -inf too, so the optimizer stops
-        # there.  Any other error is a fault and propagates.
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return self._evaluate(raw)
-        except (NotPositiveDefiniteError, np.linalg.LinAlgError):
-            return -np.inf, np.zeros_like(raw)
+        # _evaluate rejects non-finite coordinates, hyperparameters,
+        # values and gradients; chol_jittered refuses a non-finite A
+        return _rejecting_failures(self._evaluate, raw)
 
     def _evaluate(self, raw: np.ndarray):
         p = self.p
@@ -308,8 +297,6 @@ class _GsmObjective:
         a = _gsm_from_terms(g, q, q, out=self._a)
         np.copyto(self._k_diag, self._a_diag)
         self._a_diag += sigma_n2
-        if not np.isfinite(a, out=self._finite).all():
-            return rejected
         fac_a, alpha, value = _gaussian_core(a, za)
         value += -0.5 * np.sum(vs * vs) - 1.5 * p * LOG_2PI
         if not np.isfinite(value):

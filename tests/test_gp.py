@@ -130,6 +130,35 @@ def test_chol_gives_up_on_indefinite():
         chol_jittered(a)
 
 
+@pytest.mark.parametrize("n", [3, 65, 257])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["off-diagonal", "diagonal"])
+def test_chol_refuses_a_lower_triangle_that_is_not_finite(n, bad, where):
+    # potrf reports success on a NaN and returns a NaN factor, and a
+    # non-finite mean diagonal would make the jitter itself non-finite;
+    # an infinity below the diagonal fails a pivot or becomes a NaN
+    rng = np.random.default_rng([n, where == "diagonal"])
+    b = rng.standard_normal((n, n))
+    a = b @ b.T / n + np.eye(n)
+    i = int(rng.integers(1, n))
+    j = int(rng.integers(0, i)) if where == "off-diagonal" else i
+    a[i, j] = bad  # in the lower triangle, the one LAPACK reads
+    with pytest.raises(NotPositiveDefiniteError):
+        chol_jittered(a)
+
+
+def test_a_covariance_that_is_not_finite_raises_where_it_is_factored():
+    prof = random_profile(41, n=40, missing=5)
+    kernel = SEParams(1.0, 0.1)
+    with np.errstate(over="ignore"):
+        noise = with_raw_vector(NoiseParams("white", 0.01), [800.0])
+    assert noise.sigma2 == math.inf
+    with pytest.raises(NotPositiveDefiniteError):
+        log_marginal_likelihood(split_dataset(prof), kernel, noise)
+    with pytest.raises(NotPositiveDefiniteError):
+        impute(prof, GPModel(kernel, noise), seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian core and the blocked inverse
 
@@ -173,6 +202,15 @@ def test_core_and_inverse_share_the_jittered_factor():
 def test_gaussian_core_of_an_empty_system_is_the_empty_density():
     fac, alpha, logdens = _gaussian_core(np.zeros((0, 0)), np.zeros(0))
     assert fac.shape == (0, 0) and alpha.shape == (0,) and logdens == 0.0
+
+
+def test_gradient_of_an_empty_dataset_is_zero_and_lapack_stays_quiet(capfd):
+    ds = dataset_from([], [])
+    kernel, noise = SEParams(1.0, 0.1), NoiseParams("white", 0.01)
+    assert log_marginal_likelihood(ds, kernel, noise) == 0.0
+    assert np.array_equal(mll_gradient(ds, kernel, noise), np.zeros(3))
+    # LAPACK reports an illegal argument on stderr before it returns
+    assert "On entry to" not in capfd.readouterr().err
 
 
 def test_inverse_of_a_singular_factor_raises():

@@ -17,6 +17,7 @@ from surfimpute import (
     ConfigError,
     FitFailureError,
     GsmModel,
+    NotPositiveDefiniteError,
     OptConfig,
     Profile,
     fit_gsm,
@@ -27,7 +28,7 @@ from surfimpute import (
     save_gsm,
 )
 from surfimpute import gsm
-from surfimpute.gp import _centered_dataset, _gaussian_core, _inverse_lower
+from surfimpute.gp import _centered_dataset, _gaussian_core, _inverse_lower, chol_jittered
 from surfimpute.gsm import (
     LatentFunctionSpec,
     _GsmObjective,
@@ -118,6 +119,23 @@ def test_latent_factor_reconstructs_prior():
     want = unit_prior(x_l, 0.4)
     rel = np.linalg.norm(rebuilt - want) / np.linalg.norm(want)
     assert rel < 1e-8
+
+
+def test_latent_factor_is_chol_jittered_of_the_jittered_prior():
+    x_l = np.linspace(0.0, 1.0, 25)
+    fac, jitter = chol_jittered(unit_prior(x_l, 0.125))
+    assert jitter == 0.0
+    assert same_bits(_latent_factor(0.125, x_l), fac)
+
+
+def test_latent_prior_that_factors_only_with_more_jitter_raises(monkeypatch):
+    # a prior that the ladder would make positive definite with more
+    # than LATENT_JITTER on its diagonal is refused, not altered
+    monkeypatch.setattr(gsm, "build_cov",
+                        lambda se, x: np.ones((3, 3)) - 2.0 * LATENT_JITTER * np.eye(3))
+    assert chol_jittered(np.ones((3, 3)) - LATENT_JITTER * np.eye(3))[1] > 0.0
+    with pytest.raises(NotPositiveDefiniteError):
+        _latent_factor(0.4, np.linspace(0.0, 1.0, 3))
 
 
 # ---------------------------------------------------------------------------

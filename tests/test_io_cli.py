@@ -708,6 +708,30 @@ def test_cli_rejected_values_exit_without_a_traceback(tmp_path, argv, config, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "turned", "--seed", "-1"],
+    ["experiment", "--name", "turned", "--seed", "-1"],
+    ["impute", "--model", "sm", "--seed", "-1"],
+    # impute seeds its draw with seed + 1, after the fit
+    ["impute", "--model", "gsm", "--seed", "-2", "--n-latent", "6", "--max-iterations", "2"],
+], ids=["simulate", "experiment", "impute-sm", "impute-gsm"])
+def test_cli_negative_seed_is_a_usage_error(tmp_path, argv):
+    masked, _ = toy_profile()
+    src = tmp_path / "in.csv"
+    write_profile_csv(masked, src)
+    out = tmp_path / "out.csv"
+    if argv[0] == "experiment":
+        argv = argv + ["--outdir", str(tmp_path / "study")]
+    else:
+        argv = argv + (["--in", str(src)] if argv[0] == "impute" else []) + ["--out", str(out)]
+    code, stderr = run_main(argv)
+    assert code == 2
+    errors = [line for line in stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed: expected a non-negative integer" in errors[0]
+    assert "Traceback" not in stderr
+    assert not out.exists() and not (tmp_path / "study").exists()
+
+
 def test_cli_usage_errors_exit_2():
     assert cli_usage_error([]) == 2
     assert cli_usage_error(["frobnicate"]) == 2
