@@ -65,25 +65,33 @@ def chol_jittered(a: np.ndarray):
     Tries jitter 0, then 1e-10..1e-4 times the mean diagonal (or 1.0 if
     it is not positive) on a copy's diagonal.  Returns ``(L, jitter_added)``
     with L C-ordered and its strict upper triangle exactly zero; raises
-    NotPositiveDefiniteError when the ladder is exhausted, and at O(n)
-    cost for a lower triangle (the one LAPACK reads) that is not finite:
+    NotPositiveDefiniteError when the ladder is exhausted, and at once
+    for a lower triangle (the one LAPACK reads) that is not finite:
     potrf reports success on one, but unless a pivot fails, the NaN or
     infinity reaches the factor's diagonal through the row it sits in.
+    A failed pivot k depends on the leading k x k block alone, so that
+    block's lower triangle is scanned then (no row twice per call), and
+    a non-finite entry there stops the ladder.  A finite diagonal whose
+    mean overflows is divided by n before it is summed.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
+    diag = np.diagonal(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        dmean = float(np.mean(np.diagonal(a))) if a.size else 0.0
+        dmean = float(np.mean(diag)) if a.size else 0.0
+        if not math.isfinite(dmean) and np.all(np.isfinite(diag)):
+            dmean = float(np.sum(diag / len(diag)))
     if not math.isfinite(dmean):
         raise NotPositiveDefiniteError("mean diagonal is not finite")
     scale = dmean if dmean > 0 else 1.0
     work = a
+    scanned = 0  # leading rows whose lower triangle is known to be finite
     for level in JITTER_LADDER:
         jitter = level * scale
         if jitter:
             work = a.copy() if work is a else work
-            np.fill_diagonal(work, np.diagonal(a) + jitter)
+            np.fill_diagonal(work, diag + jitter)
         # potrf factors the upper triangle of work^T, which is work's
         # lower one, into a copy; clean=1 zeroes the rest, so u^T is a
         # C-ordered lower factor whose strict upper triangle is zero
@@ -94,6 +102,10 @@ def chol_jittered(a: np.ndarray):
             return u.T, jitter
         if info < 0:
             raise np.linalg.LinAlgError(f"dpotrf: illegal value in argument {-info}")
+        if info > scanned:
+            if not np.all(np.isfinite(np.tril(a[scanned:info, :info], scanned))):
+                raise NotPositiveDefiniteError("matrix is not finite")
+            scanned = info
     raise NotPositiveDefiniteError(
         f"matrix is not positive definite even with jitter {JITTER_LADDER[-1]*scale:g}"
     )

@@ -10,6 +10,7 @@ membership (deep features swallow the probe signal) or by local slope
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,38 +140,53 @@ class Dale:
 
 
 def _interior_extrema(z: np.ndarray):
-    """Peaks and pits from maximal constant runs; a plateau counts once,
-    at its lower-middle index.  Pits must be strictly interior, but a
-    boundary run higher than its single inward neighbor counts as a
-    bounding peak, so dales may lean on the profile ends (a V-shaped
+    """Peak and pit indices from maximal constant runs; a plateau counts
+    once, at its lower-middle index.  Pits must be strictly interior,
+    but a boundary run higher than its single inward neighbor counts as
+    a bounding peak, so dales may lean on the profile ends (a V-shaped
     profile is one dale spanning the whole record)."""
-    runs = []
-    start = 0
-    for i in range(1, len(z)):
-        if z[i] != z[start]:
-            runs.append((z[start], start, i - 1))
-            start = i
-    runs.append((z[start], start, len(z) - 1))
-    last = len(runs) - 1
-    peaks, pits = [], []
-    for r, (v, s, e) in enumerate(runs):
-        mid = (s + e) // 2
-        lower_left = r == 0 or v > runs[r - 1][0]
-        lower_right = r == last or v > runs[r + 1][0]
-        if lower_left and lower_right and last > 0:
-            peaks.append(mid)
-        elif 0 < r < last and v < runs[r - 1][0] and v < runs[r + 1][0]:
-            pits.append(mid)
+    starts = np.concatenate(([0], np.flatnonzero(z[1:] != z[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, len(z) - 1)
+    mids = (starts + ends) // 2
+    v = z[starts]
+    if len(v) < 2:
+        return mids[:0], mids[:0]
+    rise, fall = v[1:] > v[:-1], v[1:] < v[:-1]
+    peaks = mids[np.append(True, rise) & np.append(fall, True)]
+    pits = mids[1:-1][fall[:-1] & rise[1:]]
     return peaks, pits
 
 
-def _measure(profile: Profile, left: int, right: int) -> Dale:
-    z, x = profile.z, profile.x
+def _volume(z: np.ndarray, dx: np.ndarray, left: int, right: int) -> float:
+    """Water-fill volume of the span [left, right] at its lower end,
+    np.trapezoid(np.clip(level - z[left:right+1], 0, None), x[left:right+1])
+    in that function's own operations (clip with no upper bound is
+    maximum; dx is np.diff of the whole abscissa), so bit for bit.
+    A merged dale's volume comes from here; _volumes forms the first
+    ones all at once."""
     level = min(z[left], z[right])
-    seg = np.clip(level - z[left : right + 1], 0.0, None)
-    volume = float(np.trapezoid(seg, x[left : right + 1]))
-    pit = left + 1 + int(np.argmin(z[left + 1 : right]))
-    return Dale(left, right, pit, float(x[right] - x[left]), volume)
+    s = np.maximum(level - z[left : right + 1], 0.0)
+    return float((dx[left:right] * (s[1:] + s[:-1]) / 2.0).sum())
+
+
+def _volumes(z: np.ndarray, dx: np.ndarray, peaks: np.ndarray) -> list:
+    """_volume of every span between consecutive peaks, bit for bit:
+    the elementwise terms of all spans come from one pass and each
+    span's terms are summed on their own by the same pairwise .sum()
+    (np.add.reduceat would add them in sequence).  Only
+    maximum(-0.0, 0.0) may differ between numpy's SIMD and scalar
+    loops, which flips the sign of a zero term; every span holds a pit
+    below its level, whose terms are positive or +0.0, so that sign
+    never reaches the sum."""
+    left, right = peaks[:-1], peaks[1:]
+    level = np.where(z[right] < z[left], z[right], z[left])  # as min() picks
+    first, last = peaks[0], peaks[-1]
+    lev = np.repeat(level, right - left)
+    s0 = np.maximum(lev - z[first:last], 0.0)
+    s1 = np.maximum(lev - z[first + 1 : last + 1], 0.0)
+    terms = dx[first:last] * (s1 + s0) / 2.0
+    cut = (peaks - first).tolist()
+    return [float(terms[a:b].sum()) for a, b in zip(cut, cut[1:])]
 
 
 def watershed_dales(profile: Profile, volume_threshold: float = 0.0):
@@ -184,32 +200,56 @@ def watershed_dales(profile: Profile, volume_threshold: float = 0.0):
     across that lower peak.  When that lower peak is the outermost one
     there is no neighbor behind it: the water drains off the open
     profile end, so the dale is dropped as no feature at all.  A lone
-    dale is kept regardless.  Returns dales ordered left to right.
+    dale is kept regardless.  The smallest dale goes first (the
+    leftmost of equal volumes).  Returns dales ordered left to right.
     """
     if not np.all(profile.valid):
         raise MustImputeFirstError("watershed needs a complete profile")
     if volume_threshold < 0:
         raise ValueError("volume threshold must be >= 0")
-    peaks, _ = _interior_extrema(profile.z)
-    dales = [
-        _measure(profile, peaks[i], peaks[i + 1]) for i in range(len(peaks) - 1)
-    ]
-    z = profile.z
-    while len(dales) > 1:
-        small = [d for d in dales if d.volume < volume_threshold]
-        if not small:
-            break
-        target = min(small, key=lambda d: (d.volume, d.left))
-        i = dales.index(target)
-        low_side = "left" if z[target.left] <= z[target.right] else "right"
-        j = i - 1 if low_side == "left" else i + 1
-        if j < 0 or j >= len(dales):
-            del dales[i]
+    z, x = profile.z, profile.x
+    peaks, _ = _interior_extrema(z)
+    dx = np.diff(x)
+    # dale k spans [left[k], right[k]]; a merge keeps the left node of the
+    # pair, so the live nodes stay in index order, and prev/nxt (-1 at the
+    # ends) link them.  stamp[k] counts a node's changes, -1 once it is gone
+    left, right = peaks[:-1].tolist(), peaks[1:].tolist()
+    m = len(left)
+    volume = _volumes(z, dx, peaks) if m else []
+    prev, nxt = list(range(-1, m - 1)), [*range(1, m), -1]
+    stamp = [0] * m
+    # only dales below the threshold enter the heap; an entry whose stamp
+    # is no longer its node's is skipped when it surfaces
+    heap = [(v, a, k, 0) for k, (v, a) in enumerate(zip(volume, left)) if v < volume_threshold]
+    heapq.heapify(heap)
+    count = m
+    while count > 1 and heap:
+        _, _, k, s = heapq.heappop(heap)
+        if s != stamp[k]:
             continue
-        left = min(dales[i].left, dales[j].left)
-        right = max(dales[i].right, dales[j].right)
-        merged = _measure(profile, left, right)
-        dales[min(i, j) : max(i, j) + 1] = [merged]
+        j = prev[k] if z[left[k]] <= z[right[k]] else nxt[k]
+        if j < 0:  # the water drains off the open end
+            gone = k
+        else:
+            keep, gone = min(j, k), max(j, k)
+            right[keep] = right[gone]
+            volume[keep] = _volume(z, dx, left[keep], right[keep])
+            stamp[keep] += 1
+            if volume[keep] < volume_threshold:
+                heapq.heappush(heap, (volume[keep], left[keep], keep, stamp[keep]))
+        p, q = prev[gone], nxt[gone]
+        if p >= 0:
+            nxt[p] = q
+        if q >= 0:
+            prev[q] = p
+        stamp[gone] = -1
+        count -= 1
+    dales = []
+    for k in range(m):
+        if stamp[k] >= 0:
+            a, b = left[k], right[k]
+            pit = a + 1 + int(z[a + 1 : b].argmin())
+            dales.append(Dale(a, b, pit, float(x[b] - x[a]), volume[k]))
     return dales
 
 

@@ -133,18 +133,43 @@ def test_chol_gives_up_on_indefinite():
 @pytest.mark.parametrize("n", [3, 65, 257])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["off-diagonal", "diagonal"])
-def test_chol_refuses_a_lower_triangle_that_is_not_finite(n, bad, where):
+def test_chol_refuses_a_lower_triangle_that_is_not_finite(n, bad, where, monkeypatch):
     # potrf reports success on a NaN and returns a NaN factor, and a
     # non-finite mean diagonal would make the jitter itself non-finite;
-    # an infinity below the diagonal fails a pivot or becomes a NaN
+    # an infinity below the diagonal fails a pivot or becomes a NaN.
+    # either way the first factorization names it and no jitter rung
+    # runs (off-diagonal-inf-3 would fail its pivot on every rung)
     rng = np.random.default_rng([n, where == "diagonal"])
     b = rng.standard_normal((n, n))
     a = b @ b.T / n + np.eye(n)
     i = int(rng.integers(1, n))
     j = int(rng.integers(0, i)) if where == "off-diagonal" else i
     a[i, j] = bad  # in the lower triangle, the one LAPACK reads
-    with pytest.raises(NotPositiveDefiniteError):
+    calls = []
+    potrf = scipy.linalg.lapack.dpotrf
+
+    def counting_potrf(*args, **kwargs):
+        calls.append(args[0].shape)
+        return potrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_potrf)
+    with pytest.raises(NotPositiveDefiniteError, match="not finite"):
         chol_jittered(a)
+    assert len(calls) == (1 if where == "off-diagonal" else 0)
+
+
+def test_chol_scales_the_jitter_of_a_diagonal_whose_mean_overflows():
+    # 35 diagonal entries near 1e308 sum to inf; the matrix is finite
+    # and factors at the first jitter rung, as it does at 1e300
+    data = split_dataset(Profile(make_grid(0.0, 0.01, 35), np.zeros(35), None))
+    noise = NoiseParams("white", 0.1)
+    for sigma2 in (1e300, 1e308):
+        a = gp._training_matrix(data, SEParams(sigma2, 0.05), noise)
+        assert np.all(np.isfinite(a))
+        fac, jitter = chol_jittered(a)
+        assert jitter == 1e-10 * float(np.sum(np.diagonal(a) / 35))
+        assert np.all(np.isfinite(fac))
+        assert math.isfinite(log_marginal_likelihood(data, SEParams(sigma2, 0.05), noise))
 
 
 def test_a_covariance_that_is_not_finite_raises_where_it_is_factored():

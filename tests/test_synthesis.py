@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from surfimpute import (
     simulate_chirp,
     simulate_turned,
 )
-from surfimpute.synthesis import chirp_wavelength_at, chirp_wavelengths, watershed_dales
+from surfimpute.synthesis import (
+    Dale,
+    _interior_extrema,
+    chirp_wavelength_at,
+    chirp_wavelengths,
+    watershed_dales,
+)
 
 
 def profile_of(z, dx=1.0):
@@ -425,3 +432,103 @@ def test_mask_gradient_invalidates_exactly_the_steep_points(p, q):
     out = mask_gradient(p, thr)
     assert np.array_equal(~out.valid, slope > thr)
     assert np.array_equal(out.z, p.z)
+
+
+# ---------------------------------------------------------------------------
+# the array-pass watershed against the per-point loop it replaced
+
+
+def oracle_interior_extrema(z):
+    runs = []
+    start = 0
+    for i in range(1, len(z)):
+        if z[i] != z[start]:
+            runs.append((z[start], start, i - 1))
+            start = i
+    runs.append((z[start], start, len(z) - 1))
+    last = len(runs) - 1
+    peaks, pits = [], []
+    for r, (v, s, e) in enumerate(runs):
+        mid = (s + e) // 2
+        lower_left = r == 0 or v > runs[r - 1][0]
+        lower_right = r == last or v > runs[r + 1][0]
+        if lower_left and lower_right and last > 0:
+            peaks.append(mid)
+        elif 0 < r < last and v < runs[r - 1][0] and v < runs[r + 1][0]:
+            pits.append(mid)
+    return peaks, pits
+
+
+def oracle_measure(profile, left, right):
+    z, x = profile.z, profile.x
+    level = min(z[left], z[right])
+    seg = np.clip(level - z[left : right + 1], 0.0, None)
+    volume = float(np.trapezoid(seg, x[left : right + 1]))
+    pit = left + 1 + int(np.argmin(z[left + 1 : right]))
+    return Dale(left, right, pit, float(x[right] - x[left]), volume)
+
+
+def oracle_watershed_dales(profile, volume_threshold=0.0):
+    """Rebuilds the smallest-dale list and searches it on every merge."""
+    peaks, _ = oracle_interior_extrema(profile.z)
+    dales = [
+        oracle_measure(profile, peaks[i], peaks[i + 1]) for i in range(len(peaks) - 1)
+    ]
+    z = profile.z
+    while len(dales) > 1:
+        small = [d for d in dales if d.volume < volume_threshold]
+        if not small:
+            break
+        target = min(small, key=lambda d: (d.volume, d.left))
+        i = dales.index(target)
+        low_side = "left" if z[target.left] <= z[target.right] else "right"
+        j = i - 1 if low_side == "left" else i + 1
+        if j < 0 or j >= len(dales):
+            del dales[i]
+            continue
+        left = min(dales[i].left, dales[j].left)
+        right = max(dales[i].right, dales[j].right)
+        merged = oracle_measure(profile, left, right)
+        dales[min(i, j) : max(i, j) + 1] = [merged]
+    return dales
+
+
+def dale_bits(dales):
+    return [(type(d.left), type(d.pit), d.left, d.right, d.pit,
+             struct.pack("<d", d.width), struct.pack("<d", d.volume)) for d in dales]
+
+
+def assert_same_dales(p, threshold):
+    assert dale_bits(watershed_dales(p, threshold)) == dale_bits(
+        oracle_watershed_dales(p, threshold))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=complete_profiles(), frac=st.floats(0.0, 1.5))
+def test_watershed_is_bitwise_the_per_point_loop(p, frac):
+    peaks, pits = _interior_extrema(p.z)
+    assert (peaks.tolist(), pits.tolist()) == oracle_interior_extrema(p.z)
+    raw = oracle_watershed_dales(p)
+    assert_same_dales(p, 0.0)
+    assert_same_dales(p, frac * max((d.volume for d in raw), default=1.0))
+
+
+@pytest.mark.parametrize("n", [300, 1000, 2000])
+def test_watershed_is_bitwise_the_per_point_loop_on_turned_draws(n):
+    for seed in range(3):
+        p = simulate_turned(TurnedSimConfig(n=n), 1000 + seed)
+        largest = max(d.volume for d in oracle_watershed_dales(p))
+        for threshold in (0.0, 0.5 * largest):
+            assert_same_dales(p, threshold)
+
+
+def test_watershed_merges_the_leftmost_of_equal_volumes_first():
+    # four dales of volume exactly 2; pruned below 3, the leftmost drains
+    # right into its neighbor (volume 4), then the next leftmost small
+    # one, (4, 6), drains left and the last follows: one dale.  Merging
+    # the rightmost first would leave (0, 4) and (4, 8), both of volume 4
+    p = profile_of([3.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 3.0])
+    assert [d.volume for d in watershed_dales(p)] == [2.0] * 4
+    dales = watershed_dales(p, 3.0)
+    assert [(d.left, d.right) for d in dales] == [(0, 8)]
+    assert_same_dales(p, 3.0)
