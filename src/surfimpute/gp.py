@@ -1,18 +1,17 @@
 """Exact GP inference: likelihood, posterior, sampling, imputation.
 
 The prior mean is zero everywhere; fitting and imputation subtract the
-mean of the valid heights first and restore it afterwards.  Two
-conditioning flavors exist: ``posterior`` targets the noise-free
-heights (noise covariance on the training block only) and
-``predictive_posterior`` targets the observable heights (noise
-covariance on every block); imputation uses the predictive one.
+mean of the valid heights first and restore it afterwards.  There is
+one posterior: that of the observable heights, with the noise
+covariance on every block, which imputation draws from.
 
-Both entry points build their blocks densely with ``build_cov``, for
-any abscissas.  On the measurement grid a stationary model takes only
-one value per integer lag, so the SM fit's objective and the
-imputation of a ``GPModel`` gather every block from one per-lag table
-of kernel + noise (``_lag_terms``): the imputation conditions on the
-very matrix whose likelihood the fit maximized.
+``predictive_posterior`` builds its blocks densely with ``build_cov``,
+for any abscissas; a GSM model imputes through it.  On the measurement
+grid a stationary model takes only one value per integer lag, so the
+SM fit's objective and the imputation of a ``GPModel`` gather every
+block from one per-lag table of kernel + noise (``_lag_terms``): the
+imputation conditions on the very matrix whose likelihood the fit
+maximized.
 """
 
 from __future__ import annotations
@@ -192,34 +191,6 @@ def _centered_dataset(profile: Profile):
     return replace(ds, za=ds.za - offset), offset
 
 
-def _training_matrix(dataset: SurfaceDataset, kernel, noise) -> np.ndarray:
-    return build_cov(kernel, dataset.xa) + build_cov(noise, dataset.xa)
-
-
-def log_marginal_likelihood(dataset: SurfaceDataset, kernel, noise) -> float:
-    """log p(za | xa, kernel, noise) for the zero-mean GP."""
-    return _gaussian_core(_training_matrix(dataset, kernel, noise), dataset.za)[2]
-
-
-def mll_gradient(dataset: SurfaceDataset, kernel, noise) -> np.ndarray:
-    """Gradient of the log marginal likelihood.
-
-    Ordered as the kernel's raw (log-space) parameters followed by the
-    noise model's; uses d/dtheta = 0.5 tr((alpha alpha^T - A^-1) dA/dtheta).
-    """
-    fac, alpha, _ = _gaussian_core(
-        _training_matrix(dataset, kernel, noise), dataset.za
-    )
-    inv = _inverse_lower(fac)
-    inv += np.tril(inv, -1).T
-    m = np.outer(alpha, alpha) - inv
-    return np.array([
-        0.5 * np.sum(m * kernels.kernel_grad(part, dataset.xa, i))
-        for part in (kernel, noise)
-        for i in range(n_params(part))
-    ])
-
-
 @dataclass(frozen=True)
 class PosteriorGaussian:
     """Joint posterior over heights at the query abscissas."""
@@ -246,33 +217,25 @@ def _conditioned(a: np.ndarray, c_ma: np.ndarray, c_mm: np.ndarray,
     return PosteriorGaussian(c_ma @ alpha, c_mm - v.T @ v)
 
 
-def _dense_conditioned(dataset: SurfaceDataset, kernel, noise, xm, query_parts):
-    """``_conditioned`` on blocks built by ``build_cov`` at any abscissas;
-    the query and cross covariances are the sum of ``query_parts``."""
-    xm = np.asarray(xm, dtype=float)
-    if xm.ndim != 1:
-        raise ValueError("query abscissas must be a 1-D array")
-    if len(xm) == 0:
-        return PosteriorGaussian(np.zeros(0), np.zeros((0, 0)))
-    c_ma = sum(build_cov(part, xm, dataset.xa) for part in query_parts)
-    c_mm = sum(build_cov(part, xm) for part in query_parts)
-    return _conditioned(_training_matrix(dataset, kernel, noise), c_ma, c_mm, dataset.za)
-
-
-def posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
-    """Posterior of the noise-free heights at xm given (xa, za)."""
-    return _dense_conditioned(dataset, kernel, noise, xm, (kernel,))
-
-
 def predictive_posterior(dataset: SurfaceDataset, kernel, noise, xm) -> PosteriorGaussian:
-    """Posterior of the observable (noisy) heights at xm given (xa, za).
+    """Posterior of the observable (noisy) heights at xm given (xa, za),
+    with every block built by ``build_cov`` at any abscissas.
 
     Conditions the full height covariance k + omega, so the noise
     variance enters at the query points too.  This is the distribution
     imputation draws from: a measurement-like fill, whose spread never
     drops below the noise floor even right next to valid samples.
     """
-    return _dense_conditioned(dataset, kernel, noise, xm, (kernel, noise))
+    xm = np.asarray(xm, dtype=float)
+    if xm.ndim != 1:
+        raise ValueError("query abscissas must be a 1-D array")
+    if len(xm) == 0:
+        return PosteriorGaussian(np.zeros(0), np.zeros((0, 0)))
+
+    def cov(xs, ys=None):
+        return build_cov(kernel, xs, ys) + build_cov(noise, xs, ys)
+
+    return _conditioned(cov(dataset.xa), cov(xm, dataset.xa), cov(xm), dataset.za)
 
 
 def sample_posterior(post: PosteriorGaussian, seed: int, count: int = 1) -> np.ndarray:
@@ -515,8 +478,8 @@ def sm_initial_kernel(profile: Profile, q: int = 5,
     its harmonics with small weights."""
     if q < 1:
         raise ValueError("need at least one mixture component")
-    if any(s is not None and not s > 0 for s in (init_rsm, init_rq)):
-        raise ValueError("Rsm and Rq scales must be positive")
+    if any(s is not None and not 0 < s < math.inf for s in (init_rsm, init_rq)):
+        raise ValueError("Rsm and Rq scales must be positive and finite")
     r = float(init_rsm) if init_rsm is not None else rsm(profile)
     a = float(init_rq) if init_rq is not None else rq(profile)
     if not a > 0:
@@ -524,7 +487,11 @@ def sm_initial_kernel(profile: Profile, q: int = 5,
     freqs = np.array([m / r for m in range(1, q + 1)])
     weights = np.full(q, a * a / (10.0 * q))
     weights[0] = a * a
-    freq_vars = (0.05 * freqs) ** 2
+    with np.errstate(over="ignore"):
+        freq_vars = (0.05 * freqs) ** 2
+    if not np.all(np.isfinite([weights, freqs, freq_vars])):
+        raise ValueError(f"Rsm {r:g} mm and Rq {a:g} um give a start kernel "
+                         "that is not finite")
     return SMParams(weights, freqs, freq_vars)
 
 

@@ -1,13 +1,13 @@
 """Non-stationary generalized spectral mixture (single component).
 
-The kernel k(x,x') = w(x) w(x') k_gibbs(x,x'; lambda) cos(2 pi (f(x) x
-- f(x') x')) gets its three functions from latent GPs: log w and log
-lambda, and logit(f / f_nyquist), each a smooth SE-prior GP held by
-whitened coordinates v at evenly spaced locations: its values there are
-mean + L v, with L the factor of its prior.  A model stores v, and
-fitting maximizes the posterior of (v, noise, latent variances), so the
-optimizer works in approximately isotropic coordinates and a model is
-the optimizer's own state.
+The kernel k(x,x') = w(x) w(x') G(x,x'; lambda) cos(2 pi (f(x) x
+- f(x') x')), G the Gibbs kernel, gets its three functions from latent
+GPs: log w and log lambda, and logit(f / f_nyquist), each a smooth
+SE-prior GP held by whitened coordinates v at evenly spaced locations:
+its values there are mean + L v, with L the factor of its prior.  A
+model stores v, and fitting maximizes the posterior of (v, noise,
+latent variances), so the optimizer works in approximately isotropic
+coordinates and a model is the optimizer's own state.
 
 Each latent keeps the SE lengthscale of the starting model, its
 prior-knowledge value, so its map from whitened coordinates to the
@@ -163,25 +163,16 @@ class GsmModel:
         return gsm_cov(xs, xs if ys is None else ys, lat_x, lat_y)
 
 
-def log_posterior(model: GsmModel, dataset: SurfaceDataset) -> float:
-    """MAP objective: marginal likelihood plus the standard-normal log
-    density of the latents' whitened coordinates (flat in everything
-    else)."""
-    a = model.cov_matrix(dataset.xa)
-    a[np.diag_indices_from(a)] += model.noise_sigma2
-    mll = _gaussian_core(a, dataset.za)[2]
-    specs = (model.w, model.lam, model.f)
-    return mll + sum(-0.5 * float(s.v @ s.v) - 0.5 * s.n * LOG_2PI for s in specs)
-
-
 # ---------------------------------------------------------------------------
 # MAP fitting
 
 
 class _GsmObjective:
-    """log_posterior and its analytic gradient as a function of the
+    """The MAP objective and its analytic gradient as a function of the
     optimization vector [v_w, v_lam, v_f, log sigma_n^2, log sigma_w^2,
-    log sigma_lam^2, log sigma_f^2].
+    log sigma_lam^2, log sigma_f^2]: the marginal likelihood plus the
+    standard-normal log density of the latents' whitened coordinates
+    (flat in everything else).
 
     The vector is a model's own state: pack and unpack only slice, log
     and exponentiate.  Every latent keeps model0's SE lengthscale, so
@@ -402,21 +393,26 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
             wavelength_left = fallback
         if wavelength_right is None:
             wavelength_right = fallback
-    if not (wavelength_left > 0 and wavelength_right > 0):
-        raise ValueError("ramp wavelengths must be positive")
+    if not (0 < wavelength_left < math.inf and 0 < wavelength_right < math.inf):
+        raise ValueError("ramp wavelengths must be positive and finite")
 
-    f_left, f_right = 1.0 / wavelength_left, 1.0 / wavelength_right
+    # Python division: a subnormal wavelength gives inf, not a warning
+    f_left, f_right = 1.0 / float(wavelength_left), 1.0 / float(wavelength_right)
+    if max(f_left, f_right) == math.inf:
+        raise ValueError("a ramp wavelength this short has no finite frequency")
     ramp = f_left + (f_right - f_left) * (x_l - x_l[0]) / span
     ratio = np.clip(ramp / f_nyq, 1e-6, 1.0 - 1e-6)
     u_f = np.log(ratio / (1.0 - ratio))
     mean_ratio = float(np.clip(np.mean(ramp) / f_nyq, 1e-6, 1.0 - 1e-6))
     mean_f = math.log(mean_ratio / (1.0 - mean_ratio))
 
-    if rq0 is not None and not rq0 > 0:
-        raise ValueError("Rq scale must be positive")
+    if rq0 is not None and not 0 < rq0 < math.inf:
+        raise ValueError("Rq scale must be positive and finite")
     amp = float(rq0) if rq0 is not None else rq(profile)
     if not amp > 0:
         raise NoProfileElementsError("the profile is flat: its Rq is 0")
+    if amp * amp == math.inf:  # the start kernel's variance
+        raise ValueError(f"Rq {amp:g} um gives a start kernel that is not finite")
     median_lam = float(np.median(1.0 / ramp))
     se = SEParams(LATENT_SIGMA2, LATENT_THETA_FRAC * span)
     sigma_n2 = noise0 if noise0 is not None else estimate_noise_variance(profile)

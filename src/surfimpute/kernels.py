@@ -130,43 +130,6 @@ class PointwiseLatents:
 
 
 # ---------------------------------------------------------------------------
-# scalar forms
-
-
-def k_se(x: float, xp: float, p: SEParams) -> float:
-    tau = x - xp
-    return p.sigma2 * np.exp(-(tau * tau) / (2.0 * p.theta**2))
-
-
-def k_periodic(x: float, xp: float, p: PeriodicParams) -> float:
-    s = np.sin(np.pi * (x - xp) / p.period)
-    return p.sigma2 * np.exp(-(s * s) / (2.0 * p.theta**2))
-
-
-def k_sm(x: float, xp: float, p: SMParams) -> float:
-    tau = x - xp
-    terms = p.weights * np.cos(TWO_PI * tau * p.freqs) * np.exp(
-        -2.0 * np.pi**2 * tau * tau * p.freq_vars
-    )
-    return float(np.sum(terms))
-
-
-def k_noise(x: float, xp: float, p: NoiseParams) -> float:
-    return float(value_on_lags(p, abs(x - xp)))
-
-
-def k_gibbs(x: float, xp: float, lam: float, lamp: float) -> float:
-    d = lam * lam + lamp * lamp
-    tau = x - xp
-    return np.sqrt(2.0 * lam * lamp / d) * np.exp(-(tau * tau) / d)
-
-
-def k_gsm(x, xp, w, wp, lam, lamp, f, fp) -> float:
-    phase = TWO_PI * (f * x) - TWO_PI * (fp * xp)
-    return w * wp * k_gibbs(x, xp, lam, lamp) * np.cos(abs(phase))
-
-
-# ---------------------------------------------------------------------------
 # matrix builders
 
 
@@ -238,7 +201,10 @@ def terms_on_lags(kernel, t: np.ndarray):
 
 
 def grad_on_lags(kernel, index: int, t: np.ndarray) -> np.ndarray:
-    """d(kernel)/d(raw parameter ``index``) on an array of absolute lags."""
+    """d(kernel)/d(raw parameter ``index``) on an array of absolute lags.
+
+    No library code calls it; the benchmark's tracer (``bench/tracing.py``)
+    looks it up by name."""
     return terms_on_lags(kernel, t)[1][index]
 
 
@@ -317,9 +283,10 @@ def gibbs_cov(xs, ys, lam_x, lam_y) -> np.ndarray:
 def gsm_cov(xs, ys, lat_x: PointwiseLatents, lat_y: PointwiseLatents) -> np.ndarray:
     """Generalized spectral mixture matrix (single component).
 
-    k(x, x') = w(x) w(x') k_gibbs(x, x'; lambda) cos(2 pi (f(x) x - f(x') x')),
-    with the cosine of the phase difference expanded into a rank-two
-    product, so no trigonometric function is evaluated per matrix entry.
+    k(x, x') = w(x) w(x') G(x, x'; lambda) cos(2 pi (f(x) x - f(x') x')),
+    G the unit-variance Gibbs kernel of ``gibbs_cov``, with the cosine of
+    the phase difference expanded into a rank-two product, so no
+    trigonometric function is evaluated per matrix entry.
     """
     xs = _as_points(xs)
     ys = _as_points(ys)
@@ -397,15 +364,3 @@ def with_raw_vector(kernel, vec):
 def n_params(kernel) -> int:
     """Length of the kernel's raw vector, counted without taking logs."""
     return len(_fields(kernel)) * getattr(kernel, "q", 1)
-
-
-def kernel_grad(kernel, xs, index: int) -> np.ndarray:
-    """d(cov matrix)/d(raw parameter ``index``) on the same-set grid xs.
-
-    Chain-ruled through the log transform, so entries are
-    dK/d(log p) = p * dK/dp; parameters at zero use the 1e-12 floor.
-    """
-    xs = _as_points(xs)
-    if not 0 <= index < n_params(kernel):
-        raise ValueError(f"parameter index {index} out of range")
-    return grad_on_lags(kernel, index, _abs_lag(xs, None))

@@ -39,9 +39,6 @@ class OptTrace:
     termination: str = ""
     n_iterations: int = 0
 
-    def best_so_far(self) -> np.ndarray:
-        return np.maximum.accumulate(np.asarray(self.objectives))
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -91,23 +88,6 @@ def maximize(fun, x0, config: OptConfig = OptConfig()):
 
     trace.n_iterations = t
     return best_x, trace
-
-
-def fd_gradient(fun, x, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of a scalar objective.
-
-    The module-wide verification oracle: analytic gradients are tested
-    against this, never against themselves.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        g[i] = (fun(hi) - fun(lo)) / (2.0 * step)
-    return g
 
 
 def maximize_restarts(fun, x0, config: OptConfig = OptConfig(),

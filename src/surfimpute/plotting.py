@@ -9,7 +9,6 @@ other tools) can read structure back out of the image.
 
 from __future__ import annotations
 
-import re
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -211,13 +210,3 @@ def write_svg(path, masked: Profile, imputed: Profile | None = None,
                          title)
     with open(path, "w") as fh:
         fh.write(content)
-
-
-_SPAN_RE = re.compile(
-    r'<rect class="masked-span" data-x0="([^"]+)" data-x1="([^"]+)"'
-)
-
-
-def svg_masked_spans(svg_text: str):
-    """Read back the masked spans (x0, x1 in mm) embedded in an SVG."""
-    return [(float(a), float(b)) for a, b in _SPAN_RE.findall(svg_text)]

@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyDatasetError,
-    MustImputeFirstError,
-    NoProfileElementsError,
-)
+from .errors import EmptyDatasetError, NoProfileElementsError
 
-# 50 % transmission constant of the Gaussian profile filter
-FILTER_ALPHA = math.sqrt(math.log(2.0) / math.pi)
 # Rsm hysteresis bands sit at mean +- RSM_HYSTERESIS * Rq
 RSM_HYSTERESIS = 0.1
 # largest deviation of an abscissa step from the mean step, relative
@@ -246,29 +240,3 @@ def rsm(profile: Profile) -> float:
             "fewer than two qualified mean-line crossings"
         )
     return float(np.mean(np.diff(crossings)))
-
-
-def gaussian_filter(profile: Profile, nesting_index: float) -> Profile:
-    """Gaussian mean-line (waviness) filter with 50 % transmission at
-    the nesting index (mm).
-
-    Standard metrology weight s(u) = exp(-pi (u/(alpha*lc))^2) with
-    alpha = sqrt(ln2/pi), truncated at +-lc; near the ends the kernel is
-    renormalized over the available support.  The profile must be
-    complete: impute before filtering.
-    """
-    if not np.all(profile.valid):
-        raise MustImputeFirstError("gaussian_filter needs a complete profile")
-    lc = float(nesting_index)
-    if not lc > profile.dx:
-        raise ValueError(
-            f"nesting index {lc} must exceed the grid spacing {profile.dx}"
-        )
-    half = int(math.floor(lc / profile.dx))
-    if 2 * half + 1 > profile.n:
-        raise ValueError("nesting index too large for this profile length")
-    u = np.arange(-half, half + 1, dtype=float) * profile.dx
-    w = np.exp(-math.pi * (u / (FILTER_ALPHA * lc)) ** 2)
-    num = np.convolve(profile.z, w, mode="same")
-    den = np.convolve(np.ones(profile.n), w, mode="same")
-    return Profile(profile.grid, num / den, None, x=profile.x)

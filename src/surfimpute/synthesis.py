@@ -205,7 +205,7 @@ def watershed_dales(profile: Profile, volume_threshold: float = 0.0):
     """
     if not np.all(profile.valid):
         raise MustImputeFirstError("watershed needs a complete profile")
-    if volume_threshold < 0:
+    if not volume_threshold >= 0:  # NaN too: no volume is below it
         raise ValueError("volume threshold must be >= 0")
     z, x = profile.z, profile.x
     peaks, _ = _interior_extrema(z)

@@ -33,9 +33,6 @@ from surfimpute.gp import (
     _lag_terms,
     chol_jittered,
     estimate_noise_variance,
-    log_marginal_likelihood,
-    mll_gradient,
-    posterior,
     predictive_posterior,
     sample_posterior,
 )
@@ -45,13 +42,21 @@ from surfimpute.kernels import (
     SEParams,
     SMParams,
     build_cov,
-    kernel_grad,
     n_params,
     raw_vector,
     with_raw_vector,
 )
-from surfimpute.optimize import fd_gradient, maximize
+from surfimpute.optimize import maximize
 from surfimpute.profile import SurfaceDataset, split_dataset
+
+from oracles import (
+    fd_gradient,
+    kernel_grad,
+    log_marginal_likelihood,
+    mll_gradient,
+    posterior,
+    training_matrix,
+)
 
 
 def dataset_from(xa, za, xm=()):
@@ -164,7 +169,7 @@ def test_chol_scales_the_jitter_of_a_diagonal_whose_mean_overflows():
     data = split_dataset(Profile(make_grid(0.0, 0.01, 35), np.zeros(35), None))
     noise = NoiseParams("white", 0.1)
     for sigma2 in (1e300, 1e308):
-        a = gp._training_matrix(data, SEParams(sigma2, 0.05), noise)
+        a = training_matrix(data, SEParams(sigma2, 0.05), noise)
         assert np.all(np.isfinite(a))
         fac, jitter = chol_jittered(a)
         assert jitter == 1e-10 * float(np.sum(np.diagonal(a) / 35))
@@ -441,7 +446,7 @@ def test_predictive_with_colored_noise_matches_dense_conditioning():
 
 def test_posterior_empty_queries():
     ds = dataset_from([0.0], [1.0])
-    p = posterior(ds, SEParams(1.0, 1.0), NoiseParams("white", 0.0), [])
+    p = predictive_posterior(ds, SEParams(1.0, 1.0), NoiseParams("white", 0.0), [])
     assert p.mean.shape == (0,) and p.cov.shape == (0, 0)
 
 
@@ -815,6 +820,20 @@ def test_fit_sm_initialization_uses_texture_statistics():
     assert np.all(np.diff(kernel.freqs) > 0)
 
 
+@pytest.mark.parametrize("scales", [
+    {"init_rsm": 1e-300}, {"init_rsm": math.inf}, {"init_rsm": math.nan},
+    {"init_rq": math.inf}, {"init_rq": 1e200}, {"init_rq": math.nan},
+], ids=["rsm-tiny", "rsm-inf", "rsm-nan", "rq-inf", "rq-huge", "rq-nan"])
+def test_sm_initial_kernel_rejects_scales_whose_start_kernel_is_not_finite(scales):
+    # 1e-300 mm puts the frequency variances at 2.5e597 /mm^2 and 1e200 um
+    # the weight at 1e400 um^2; the test session turns any numpy
+    # RuntimeWarning, such as the overflow in squaring, into an error
+    prof = random_profile(34, n=120, missing=0)
+    with pytest.raises(ValueError, match="finite"):
+        gp.sm_initial_kernel(prof, q=1, **scales)
+    assert np.isfinite(gp.sm_initial_kernel(prof, q=1, init_rsm=1e-150).freq_vars[0])
+
+
 def test_fit_sm_runs_and_returns_valid_model():
     prof = random_profile(35, n=90, missing=10)
     cfg = OptConfig(max_iterations=40)
@@ -823,4 +842,4 @@ def test_fit_sm_runs_and_returns_valid_model():
     assert model.noise.sigma2 > 0
     assert np.isfinite(max(trace.objectives))
     assert len(traces) == 2
-    assert trace.best_so_far()[-1] == max(t.best_so_far()[-1] for t in traces)
+    assert max(trace.objectives) == max(max(t.objectives) for t in traces)

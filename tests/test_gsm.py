@@ -34,10 +34,9 @@ from surfimpute.gsm import (
     _GsmObjective,
     _latent_factor,
     latent_eval,
-    log_posterior,
 )
 from surfimpute.kernels import SEParams, _gsm_from_terms, _gsm_quadrature, gibbs_cov
-from surfimpute.optimize import fd_gradient, maximize
+from surfimpute.optimize import maximize
 from surfimpute.profile import SurfaceDataset
 from surfimpute.synthesis import (
     ChirpConfig,
@@ -45,6 +44,8 @@ from surfimpute.synthesis import (
     mask_gradient,
     simulate_chirp,
 )
+
+from oracles import fd_gradient, log_posterior
 
 LATENT_JITTER = 1e-8
 LOG_2PI = math.log(2.0 * math.pi)
@@ -590,8 +591,7 @@ def test_fit_gsm_ascent_from_generating_parameters():
     gen = small_model(p=4, seed=17, noise=0.05)
     profile = gsm_draw_profile(gen, 36, seed=18)
     model, trace = fit_gsm(profile, gen, OptConfig(max_iterations=40))
-    best = trace.best_so_far()
-    assert best[-1] >= trace.objectives[0] - 1e-9
+    assert max(trace.objectives) >= trace.objectives[0] - 1e-9
     assert np.all(np.isfinite(latent_eval(model.w, profile.x)))
     assert model.noise_sigma2 > 0
 
@@ -747,6 +747,27 @@ def test_make_gsm_model_validation():
         make_gsm_model(profile, wavelength_left=-0.1, wavelength_right=0.2)
     with pytest.raises(ValueError):
         make_gsm_model(profile, rq0=0.0)
+
+
+@pytest.mark.parametrize("rq0", [math.inf, math.nan, 1e155, 1e300])
+def test_make_gsm_model_rejects_an_rq_whose_start_kernel_is_not_finite(rq0):
+    # w(x)^2 = Rq^2 is the start kernel's variance; the test session
+    # turns any numpy RuntimeWarning into an error
+    g = make_grid(0.0, 0.01, 50)
+    profile = Profile(g, np.sin(g.points()), None)
+    with pytest.raises(ValueError, match="finite"):
+        make_gsm_model(profile, rq0=rq0)
+    assert make_gsm_model(profile, rq0=1e150).w.mean == math.log(1e150)
+
+
+@pytest.mark.parametrize("wavelength", [math.inf, 1e-320])
+@pytest.mark.parametrize("side", ["wavelength_left", "wavelength_right"])
+def test_make_gsm_model_rejects_a_wavelength_whose_frequency_is_not_finite(side, wavelength):
+    # 1 / inf = 0 and 1 / 1e-320 = inf; either made the start ramp warn
+    g = make_grid(0.0, 0.01, 50)
+    profile = Profile(g, np.sin(g.points()), None)
+    with pytest.raises(ValueError, match="finite"):
+        make_gsm_model(profile, **{side: wavelength})
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)

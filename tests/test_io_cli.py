@@ -7,6 +7,7 @@ captured with redirect_* so no pytest capture fixtures are needed.
 import contextlib
 import io
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -37,8 +38,15 @@ from surfimpute import (
 )
 from surfimpute.cli import main
 from surfimpute.io import POSTERIOR_HEADER, PROFILE_HEADER
-from surfimpute.plotting import masked_runs, svg_masked_spans
+from surfimpute.plotting import masked_runs
 from surfimpute.profile import GRID_REL_TOL
+
+_SPAN_RE = re.compile(r'<rect class="masked-span" data-x0="([^"]+)" data-x1="([^"]+)"')
+
+
+def svg_masked_spans(svg_text):
+    """The masked spans (x0, x1 in mm) that an SVG carries as attributes."""
+    return [(float(a), float(b)) for a, b in _SPAN_RE.findall(svg_text)]
 
 
 def run_cli(argv):
@@ -673,6 +681,10 @@ def test_cli_plot_writes_parseable_svg(tmp_path):
     (["impute", "--model", "sm", "--seed", "1", "--q", "0"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--restarts", "0"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--init-rsm", "-1"], None, 2),
+    (["impute", "--model", "sm", "--seed", "1", "--q", "1", "--init-rsm", "1e-300"], None, 2),
+    (["impute", "--model", "sm", "--seed", "1", "--init-rq", "inf"], None, 2),
+    (["impute", "--model", "gsm", "--seed", "1", "--init-rq", "inf"], None, 2),
+    (["impute", "--model", "gsm", "--seed", "1", "--wavelength-left", "1e-320"], None, 2),
     (["impute", "--model", "gsm", "--seed", "1", "--n-latent", "1"], None, 2),
     (["impute", "--model", "medfilt", "--window", "4"], None, 2),
     (["impute", "--model", "idw", "--power", "-1"], None, 2),
@@ -681,12 +693,14 @@ def test_cli_plot_writes_parseable_svg(tmp_path):
     (["impute", "--model", "idw", "--radius", "nan"], None, 2),
     (["impute", "--model", "idw", "--radius", "0"], None, 2),
     (["mask", "--method", "dales", "--count", "-1"], None, 2),
+    (["mask", "--method", "dales", "--volume-threshold", "nan"], None, 2),
     (["mask", "--method", "gradient", "--threshold", "-1"], None, 2),
     (["simulate", "--kind", "turned", "--seed", "1"], "sigma2 = -1", 1),
     (["simulate", "--kind", "chirp", "--seed", "1"], "n = 0", 1),
-], ids=["max-iterations", "q", "restarts", "init-rsm", "n-latent", "window",
-        "power", "power-nan", "power-inf", "radius-nan", "radius-zero", "count",
-        "threshold", "sim-sigma2", "sim-n"])
+], ids=["max-iterations", "q", "restarts", "init-rsm", "init-rsm-tiny", "init-rq-inf",
+        "gsm-init-rq-inf", "gsm-wavelength-tiny", "n-latent", "window", "power",
+        "power-nan", "power-inf", "radius-nan", "radius-zero", "count",
+        "volume-threshold-nan", "threshold", "sim-sigma2", "sim-n"])
 def test_cli_rejected_values_exit_without_a_traceback(tmp_path, argv, config, code):
     masked, truth = toy_profile()
     src = tmp_path / "in.csv"

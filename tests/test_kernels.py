@@ -19,20 +19,14 @@ from surfimpute.kernels import (
     build_cov,
     gibbs_cov,
     gsm_cov,
-    k_gibbs,
-    k_gsm,
-    k_noise,
-    k_periodic,
-    k_se,
-    k_sm,
-    kernel_grad,
     n_params,
     raw_vector,
     terms_on_lags,
     value_on_lags,
     with_raw_vector,
 )
-from surfimpute.optimize import fd_gradient
+
+from oracles import fd_gradient, k_gibbs, k_gsm, k_noise, k_periodic, k_se, k_sm, kernel_grad
 
 RNG = np.random.default_rng(2024)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from surfimpute import OptConfig
-from surfimpute.optimize import EPS, fd_gradient, maximize, maximize_restarts
+from surfimpute.optimize import EPS, maximize, maximize_restarts
+
+from oracles import fd_gradient
 
 
 def neg_quadratic_1d(x):
@@ -22,14 +24,6 @@ def test_maximize_finds_1d_optimum():
                         OptConfig(max_iterations=2000, step=0.05))
     assert abs(x[0] - 3.0) < 1e-3
     assert trace.termination == "max_iterations"
-
-
-def test_best_so_far_monotone():
-    x, trace = maximize(bowl, np.array([2.0, -1.5]),
-                        OptConfig(max_iterations=500, step=0.05))
-    best = trace.best_so_far()
-    assert np.all(np.diff(best) >= 0.0)
-    assert abs(x[0]) < 1e-2 and abs(x[1]) < 1e-2
 
 
 def test_correlated_quadratic_matches_closed_form():

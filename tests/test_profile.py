@@ -1,4 +1,4 @@
-"""Grid, profile, dataset splitting, roughness statistics, filtering."""
+"""Grid, profile, dataset splitting and roughness statistics."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from surfimpute import (
     EmptyDatasetError,
     Grid1D,
-    MustImputeFirstError,
     NoProfileElementsError,
     Profile,
     make_grid,
@@ -16,7 +15,7 @@ from surfimpute import (
     rq,
     rsm,
 )
-from surfimpute.profile import gaussian_filter, split_dataset
+from surfimpute.profile import split_dataset
 
 
 def sine_profile(wavelength, amplitude=1.0, dx=None, periods=10, phase=0.0):
@@ -258,54 +257,3 @@ def test_rsm_too_few_crossings():
     p = Profile(make_grid(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8), None)
     with pytest.raises(NoProfileElementsError):
         rsm(p)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian mean-line filter
-
-
-def test_filter_preserves_constants():
-    p = Profile(make_grid(0.0, 0.01, 200), np.full(200, 4.2), None)
-    out = gaussian_filter(p, 0.25)
-    assert np.max(np.abs(out.z - 4.2)) < 1e-12
-
-
-def test_filter_half_transmission_at_nesting_index():
-    lc = 0.8
-    p = sine_profile(lc, amplitude=1.0, dx=lc / 200, periods=12)
-    out = gaussian_filter(p, lc)
-    interior = slice(p.n // 4, 3 * p.n // 4)
-    ratio = np.max(np.abs(out.z[interior]))
-    assert abs(ratio - 0.5) < 0.01
-
-
-def test_filter_passes_long_waves():
-    lc = 0.01
-    p = sine_profile(100.0 * lc, amplitude=1.0, dx=lc / 4, periods=3)
-    out = gaussian_filter(p, lc)
-    interior = slice(p.n // 4, 3 * p.n // 4)
-    assert np.max(np.abs(out.z[interior])) > 0.999
-
-
-def test_filter_commutes_with_offset():
-    rng = np.random.default_rng(9)
-    z = rng.standard_normal(400)
-    g = make_grid(0.0, 0.01, 400)
-    a = gaussian_filter(Profile(g, z, None), 0.3)
-    b = gaussian_filter(Profile(g, z + 5.0, None), 0.3)
-    assert np.max(np.abs((a.z + 5.0) - b.z)) < 1e-10
-
-
-def test_filter_requires_complete_profile():
-    z = np.zeros(50)
-    valid = np.ones(50, dtype=bool)
-    valid[10] = False
-    p = Profile(make_grid(0.0, 0.01, 50), z, valid)
-    with pytest.raises(MustImputeFirstError):
-        gaussian_filter(p, 0.1)
-
-
-def test_filter_rejects_tiny_nesting_index():
-    p = Profile(make_grid(0.0, 0.01, 50), np.zeros(50), None)
-    with pytest.raises(ValueError):
-        gaussian_filter(p, 0.005)

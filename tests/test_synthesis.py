@@ -254,6 +254,15 @@ def test_watershed_rejects_incomplete_and_bad_threshold():
         watershed_dales(profile_of([1.0, 0.0, 1.0]), volume_threshold=-0.1)
 
 
+def test_a_nan_volume_threshold_is_rejected():
+    # no volume compares below NaN, so it would prune nothing
+    profile = profile_of([1.0, 0.0, 0.9, 0.2, 1.0])
+    with pytest.raises(ValueError, match="volume threshold"):
+        watershed_dales(profile, volume_threshold=math.nan)
+    with pytest.raises(ValueError, match="volume threshold"):
+        mask_smallest_width_dales(profile, 1, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # dale masking
 
