@@ -220,7 +220,8 @@ def cmd_plot(args) -> int:
     truth = _read_named(read_profile_csv, args.truth) if args.truth else None
     band_x = band_lo = band_hi = None
     if args.posterior is not None:
-        band_x, _, band_lo, band_hi = _read_named(read_posterior_csv, args.posterior)
+        band_lo, band_hi = _interval_for_mask(masked, args.posterior)
+        band_x = masked.x[~masked.valid]
     write_svg(args.out, masked, imputed, truth, band_x, band_lo, band_hi,
               title=args.title)
     print(f"wrote {args.out}")

@@ -38,32 +38,42 @@ from .synthesis import (
 )
 
 
-def _baseline_fills(masked: Profile, idw_radius: float):
-    return {
+def _scored(tag: str, model_name: str, truth: Profile, masked: Profile,
+            result, metrics: dict, outdir: str | None) -> dict:
+    """``metrics`` plus every score from ``evaluate``: the band's
+    coverage, the RMSE of the sampled fill, of the posterior mean and of
+    each baseline.  With ``outdir``, also write the profiles, the
+    posterior, an SVG and a report of the metrics and the sampled fill's
+    ``EvalReport``."""
+    report = evaluate(truth, masked, result.profile, result.lo95, result.hi95)
+    fills = {
+        f"{model_name}_mean": masked.with_filled(result.post_mean),
         "mean": impute_constant(masked, "mean"),
         "median": impute_constant(masked, "median"),
         "nn": impute_nn_mean(masked),
         "medfilt": impute_median_filter(masked),
-        "idw": impute_idw(masked, radius=idw_radius),
+        "idw": impute_idw(masked, radius=30.0 * masked.dx),
     }
+    metrics = {**metrics, "coverage": report.coverage,
+               f"rmse_{model_name}_sample": report.rmse}
+    for name, filled in fills.items():
+        metrics[f"rmse_{name}"] = evaluate(truth, masked, filled).rmse
 
-
-def _rmse_at(truth: Profile, miss: np.ndarray, values: np.ndarray) -> float:
-    err = values - truth.z[miss]
-    return float(np.sqrt(np.mean(err * err)))
-
-
-def _write_common(outdir, tag, truth, masked, result, report_lines):
-    os.makedirs(outdir, exist_ok=True)
-    write_profile_csv(truth, os.path.join(outdir, f"{tag}_truth.csv"))
-    write_profile_csv(masked, os.path.join(outdir, f"{tag}_masked.csv"))
-    write_profile_csv(result.profile, os.path.join(outdir, f"{tag}_imputed.csv"))
-    write_posterior_csv(result.xm, result.post_mean, result.lo95, result.hi95,
-                        os.path.join(outdir, f"{tag}_posterior.csv"))
-    write_svg(os.path.join(outdir, f"{tag}.svg"), masked, result.profile,
-              truth, result.xm, result.lo95, result.hi95, title=tag)
-    with open(os.path.join(outdir, f"{tag}_report.txt"), "w") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+        path = os.path.join(outdir, tag)
+        write_profile_csv(truth, f"{path}_truth.csv")
+        write_profile_csv(masked, f"{path}_masked.csv")
+        write_profile_csv(result.profile, f"{path}_imputed.csv")
+        write_posterior_csv(result.xm, result.post_mean, result.lo95,
+                            result.hi95, f"{path}_posterior.csv")
+        write_svg(f"{path}.svg", masked, result.profile, truth, result.xm,
+                  result.lo95, result.hi95, title=tag)
+        lines = [f"{k} = {v}" for k, v in sorted(metrics.items())]
+        lines += ["", "sampled-fill report:"] + report.lines()
+        with open(f"{path}_report.txt", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return metrics
 
 
 def run_turned_experiment(seed: int, n: int = 2000, dale_count: int = 5,
@@ -80,37 +90,21 @@ def run_turned_experiment(seed: int, n: int = 2000, dale_count: int = 5,
     raw_dales = watershed_dales(truth)
     volume_threshold = 0.5 * max(d.volume for d in raw_dales)
     masked = mask_smallest_width_dales(truth, dale_count, volume_threshold)
-    miss = ~masked.valid
 
     opt = OptConfig(max_iterations=max_iterations)
     model, _, _ = fit_sm(masked, q=q, config=opt, seed=seed,
                          n_restarts=n_restarts)
     result = impute(masked, model, seed + 1)
 
-    zt = truth.z[miss]
-    coverage = float(np.mean((zt >= result.lo95) & (zt <= result.hi95)))
     metrics = {
         "seed": seed,
         "n": n,
-        "masked_fraction": float(np.mean(miss)),
-        "coverage": coverage,
-        "rmse_sm_mean": _rmse_at(truth, miss, result.post_mean),
-        "rmse_sm_sample": _rmse_at(truth, miss, result.profile.z[miss]),
+        "masked_fraction": float(np.mean(~masked.valid)),
         "rsm_imputed": rsm(result.profile),
         "rsm_truth": rsm(truth),
     }
-    fills = _baseline_fills(masked, idw_radius=30.0 * masked.dx)
-    for name, filled in fills.items():
-        metrics[f"rmse_{name}"] = _rmse_at(truth, miss, filled.z[miss])
-
-    if outdir is not None:
-        report = evaluate(truth, masked, result.profile,
-                          result.lo95, result.hi95)
-        lines = [f"{k} = {v}" for k, v in sorted(metrics.items())]
-        lines += ["", "sampled-fill report:"] + report.lines()
-        _write_common(outdir, f"turned_seed{seed}", truth, masked, result,
-                      lines)
-    return metrics
+    return _scored(f"turned_seed{seed}", "sm", truth, masked, result, metrics,
+                   outdir)
 
 
 def run_chirp_experiment(seed: int, dx: float = 1e-4, n: int = 1250,
@@ -150,8 +144,6 @@ def run_chirp_experiment(seed: int, dx: float = 1e-4, n: int = 1250,
     model, trace = fit_gsm(masked, model0, opt)
     result = impute(masked, model, seed + 1)
 
-    zt = truth.z[miss]
-    coverage = float(np.mean((zt >= result.lo95) & (zt <= result.hi95)))
     f_fit = latent_eval(model.f, result.xm)
     f_true = 1.0 / chirp_wavelength_at(config, result.xm)
     freq_ok = float(np.mean(np.abs(f_fit - f_true) / f_true <= 0.25))
@@ -161,22 +153,11 @@ def run_chirp_experiment(seed: int, dx: float = 1e-4, n: int = 1250,
         "masked_fraction": float(np.mean(miss)),
         "masked_third_fraction": float(np.mean(miss[:third])),
         "threshold": threshold,
-        "coverage": coverage,
-        "rmse_gsm_mean": _rmse_at(truth, miss, result.post_mean),
-        "rmse_gsm_sample": _rmse_at(truth, miss, result.profile.z[miss]),
         "freq_within_25pct": freq_ok,
         "fit_iterations": trace.n_iterations,
     }
-    fills = _baseline_fills(masked, idw_radius=30.0 * masked.dx)
-    for name, filled in fills.items():
-        metrics[f"rmse_{name}"] = _rmse_at(truth, miss, filled.z[miss])
-
+    metrics = _scored(f"chirp_seed{seed}", "gsm", truth, masked, result,
+                      metrics, outdir)
     if outdir is not None:
-        report = evaluate(truth, masked, result.profile,
-                          result.lo95, result.hi95)
-        lines = [f"{k} = {v}" for k, v in sorted(metrics.items())]
-        lines += ["", "sampled-fill report:"] + report.lines()
-        _write_common(outdir, f"chirp_seed{seed}", truth, masked, result,
-                      lines)
         save_gsm(model, os.path.join(outdir, f"chirp_seed{seed}_model.txt"))
     return metrics

@@ -7,7 +7,9 @@ SE-prior GP held by whitened coordinates v at evenly spaced locations:
 its values there are mean + L v, with L the factor of its prior.  A
 model stores v, and fitting maximizes the posterior of (v, noise,
 latent variances), so the optimizer works in approximately isotropic
-coordinates and a model is the optimizer's own state.
+coordinates and a model is the optimizer's own state: bitwise in v, and
+within an ulp in the four log-variance coordinates, since a model keeps
+each variance and log(exp(r)) is not always r.
 
 Each latent keeps the SE lengthscale of the starting model, its
 prior-knowledge value, so its map from whitened coordinates to the
@@ -175,7 +177,8 @@ class _GsmObjective:
     (flat in everything else).
 
     The vector is a model's own state: pack and unpack only slice, log
-    and exponentiate.  Every latent keeps model0's SE lengthscale, so
+    and exponentiate, so pack(unpack(x)) returns the four log-variance
+    coordinates within an ulp, not bitwise.  Every latent keeps model0's SE lengthscale, so
     the latent at the data abscissas is u_h = mean_h + sqrt(sigma_h^2)
     B_h v_h with the constant map B_h = K_xL L^-T of the unit-variance
     prior (``_latent_map``), built once.  No latent prior is factored or

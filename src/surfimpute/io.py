@@ -45,33 +45,46 @@ def write_profile_csv(profile: Profile, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_profile_csv(path) -> Profile:
-    """Read a profile CSV; every malformed row is a ConfigError that
-    names its line: an unparsable field, a bad flag, a valid row without
-    a finite height, an abscissa that is not finite or not above the one
-    before it, or a step that breaks the grid's ``GRID_REL_TOL``."""
-    x, z, valid, linenos = [], [], [], []
+def _rows(path, header: str, convert):
+    """(line number, ``convert(fields)``) of each data row of a CSV that
+    starts with ``header``, blank lines skipped.  A row must have as many
+    fields as the header, ``convert`` must take them (its ValueError is
+    the row's fault), and the first value, the abscissa, must be finite
+    and above the row before's; every fault is a ConfigError at its line."""
     lines = _read_lines(path)
-    if not lines or lines[0].strip() != PROFILE_HEADER:
-        raise ConfigError(f"expected header {PROFILE_HEADER!r}", line=1)
+    if not lines or lines[0].strip() != header:
+        raise ConfigError(f"expected header {header!r}", line=1)
+    n_fields = header.count(",") + 1
+    previous = -math.inf
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split(",")
-        if len(parts) != 3:
-            raise ConfigError("expected three comma-separated fields",
+        if len(parts) != n_fields:
+            if not line.strip():
+                continue
+            raise ConfigError(f"expected {n_fields} comma-separated fields",
                               line=lineno)
         try:
-            xv = float(parts[0])
-            zv = float(parts[1])
-            flag = int(parts[2])
+            row = convert(parts)
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno) from exc
-        if not math.isfinite(xv):
+        x = row[0]
+        if not math.isfinite(x):
             raise ConfigError("abscissa must be finite", line=lineno)
-        if x and not xv > x[-1]:
+        if not x > previous:
             raise ConfigError("abscissa must be strictly increasing",
                               line=lineno)
+        previous = x
+        yield lineno, row
+
+
+def read_profile_csv(path) -> Profile:
+    """Read a profile CSV; every malformed row is a ConfigError that
+    names its line: the faults ``_rows`` finds, a bad flag, a valid row
+    without a finite height, or a step that breaks the grid's
+    ``GRID_REL_TOL``."""
+    x, z, valid, linenos = [], [], [], []
+    for lineno, (xv, zv, flag) in _rows(
+            path, PROFILE_HEADER, lambda p: (float(p[0]), float(p[1]), int(p[2]))):
         if flag not in (0, 1):
             raise ConfigError("valid flag must be 0 or 1", line=lineno)
         if flag == 1 and not math.isfinite(zv):
@@ -79,7 +92,7 @@ def read_profile_csv(path) -> Profile:
                               line=lineno)
         x.append(xv)
         z.append(zv)
-        valid.append(bool(flag))
+        valid.append(flag)
         linenos.append(lineno)
     if not x:
         raise ConfigError("no data rows")
@@ -113,24 +126,14 @@ def write_posterior_csv(xm, mean, lo95, hi95, path) -> None:
 
 
 def read_posterior_csv(path):
-    """Returns (xm, mean, lo95, hi95) arrays."""
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != POSTERIOR_HEADER:
-        raise ConfigError(f"expected header {POSTERIOR_HEADER!r}", line=1)
-    cols = [[], [], [], []]
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigError("expected four comma-separated fields",
-                              line=lineno)
-        try:
-            for col, part in zip(cols, parts):
-                col.append(float(part))
-        except ValueError as exc:
-            raise ConfigError(str(exc), line=lineno) from exc
-    return tuple(np.array(c) for c in cols)
+    """Returns (xm, mean, lo95, hi95) arrays; besides the faults ``_rows``
+    finds, a value that is not finite is a ConfigError at its line."""
+    rows = []
+    for lineno, row in _rows(path, POSTERIOR_HEADER, lambda p: [*map(float, p)]):
+        if not all(map(math.isfinite, row)):
+            raise ConfigError("posterior values must be finite", line=lineno)
+        rows.append(row)
+    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,9 @@ def _ticks(lo: float, hi: float, count: int = N_TICKS) -> np.ndarray:
 def masked_runs(valid: np.ndarray):
     """Contiguous runs of invalid samples as (start, stop) index pairs,
     stop exclusive."""
-    runs = []
-    inside = False
-    start = 0
-    for i, ok in enumerate(valid):
-        if not ok and not inside:
-            inside, start = True, i
-        elif ok and inside:
-            inside = False
-            runs.append((start, i))
-    if inside:
-        runs.append((start, len(valid)))
-    return runs
+    missing = np.concatenate(([False], ~np.asarray(valid, dtype=bool), [False]))
+    edges = np.flatnonzero(np.diff(missing)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def render_svg(masked: Profile, imputed: Profile | None = None,

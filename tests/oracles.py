@@ -2,8 +2,8 @@
 
 Each one is the plain, slow form of something the library computes a
 faster way: scalar kernels, the dense marginal likelihood and its
-gradient, the noise-free posterior, the GSM log posterior and central
-finite differences.  No library code calls them; they live here, not
+gradient, the noise-free posterior, the GSM log posterior, central
+finite differences and the per-point scan for masked runs.  No library code calls them; they live here, not
 in ``surfimpute``.  pytest does not collect this module (its name does
 not start with ``test_``); test modules import it by name, as their
 own directory is on the import path.
@@ -141,3 +141,23 @@ def fd_gradient(fun, x, step=1e-5):
         lo[i] -= step
         g[i] = (fun(hi) - fun(lo)) / (2.0 * step)
     return g
+
+
+# ---------------------------------------------------------------------------
+# masked runs
+
+
+def masked_runs(valid):
+    """``plotting.masked_runs`` by one pass over the samples."""
+    runs = []
+    inside = False
+    start = 0
+    for i, ok in enumerate(valid):
+        if not ok and not inside:
+            inside, start = True, i
+        elif ok and inside:
+            inside = False
+            runs.append((start, i))
+    if inside:
+        runs.append((start, len(valid)))
+    return runs

@@ -6,6 +6,7 @@ captured with redirect_* so no pytest capture fixtures are needed.
 
 import contextlib
 import io
+import itertools
 import math
 import re
 import warnings
@@ -40,6 +41,8 @@ from surfimpute.cli import main
 from surfimpute.io import POSTERIOR_HEADER, PROFILE_HEADER
 from surfimpute.plotting import masked_runs
 from surfimpute.profile import GRID_REL_TOL
+
+from oracles import masked_runs as scanned_runs
 
 _SPAN_RE = re.compile(r'<rect class="masked-span" data-x0="([^"]+)" data-x1="([^"]+)"')
 
@@ -330,6 +333,13 @@ def test_masked_runs_index_pairs():
     assert masked_runs(np.array([False, False])) == [(0, 2)]
     v = np.array([False, True, True, False, False, True, False])
     assert masked_runs(v) == [(0, 1), (3, 5), (6, 7)]
+    # every mask up to 10 samples, against the per-point scan
+    for n in range(11):
+        for flags in itertools.product((False, True), repeat=n):
+            valid = np.array(flags, dtype=bool)
+            runs = masked_runs(valid)
+            assert runs == scanned_runs(valid), flags
+            assert all(type(i) is int for run in runs for i in run)
 
 
 def test_render_svg_deterministic_and_well_formed(tmp_path):
@@ -676,6 +686,22 @@ def test_cli_plot_writes_parseable_svg(tmp_path):
     assert code == 1 and "error:" in stderr
 
 
+def test_cli_plot_refuses_a_band_off_the_masked_positions(tmp_path):
+    # rows at x = 1.0, a valid sample, and 1.002, off the grid: eval
+    # refuses them, and plot must too rather than draw a band there
+    paths, _ = eval_fixture(tmp_path)
+    post = tmp_path / "off.csv"
+    write_posterior_csv([1.0, 1.002], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], post)
+    out = tmp_path / "fig.svg"
+    for argv in (["eval", "--truth", str(paths["truth"]), "--masked", str(paths["masked"]),
+                  "--imputed", str(paths["imputed"]), "--posterior", str(post)],
+                 ["plot", "--in", str(paths["masked"]), "--posterior", str(post),
+                  "--out", str(out)]):
+        code, stderr = run_main(argv)
+        assert code == 1 and "posterior locations do not match" in stderr, argv[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, code", [
     (["impute", "--model", "sm", "--seed", "1", "--max-iterations", "0"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--q", "0"], None, 2),
@@ -808,31 +834,76 @@ def grid_csv_lines():
     return [PROFILE_HEADER, *rows]
 
 
+def posterior_csv_lines():
+    """Header and ten rows at the abscissas of ``grid_csv_lines``."""
+    rows = [f"{i / 100!r},{math.sin(0.3 * i)!r},-1.5,1.5" for i in range(10)]
+    return [POSTERIOR_HEADER, *rows]
+
+
 def _perturbed(lines):
     lines[4] = "0.0251" + lines[4][lines[4].index(","):]
     return lines
 
 
-@pytest.mark.parametrize("corrupt, line, message", [
-    (_perturbed, 5, "not a uniform grid"),
-    (lambda ls: ls[:4] + [ls[3]] + ls[4:], 5, "strictly increasing"),
-    (lambda ls: ls[:1] + ls[:0:-1], 3, "strictly increasing"),
-    (lambda ls: ls[:3] + ["nan" + ls[3][ls[3].index(","):]] + ls[4:], 4,
-     "must be finite"),
-], ids=["perturbed-x", "duplicated-row", "reversed-rows", "nan-x"])
-def test_malformed_abscissa_is_a_config_error_at_its_line(tmp_path, corrupt, line,
+def _field(row, field, value):
+    """A corruption that sets field ``field`` of line ``row`` to ``value``."""
+    def corrupt(lines):
+        fields = lines[row].split(",")
+        fields[field] = value
+        lines[row] = ",".join(fields)
+        return lines
+    return corrupt
+
+
+def _duplicated(lines):
+    return lines[:4] + [lines[3]] + lines[4:]
+
+
+def _reversed(lines):
+    return lines[:1] + lines[:0:-1]
+
+
+@pytest.mark.parametrize("reader, corrupt, line, message", [
+    ("profile", _perturbed, 5, "not a uniform grid"),
+    ("profile", _duplicated, 5, "strictly increasing"),
+    ("profile", _reversed, 3, "strictly increasing"),
+    ("profile", _field(3, 0, "nan"), 4, "must be finite"),
+    ("posterior", _duplicated, 5, "strictly increasing"),
+    ("posterior", _reversed, 3, "strictly increasing"),
+    ("posterior", _field(3, 0, "nan"), 4, "abscissa must be finite"),
+    ("posterior", _field(3, 0, "-inf"), 4, "abscissa must be finite"),
+    ("posterior", _field(6, 2, "nan"), 7, "values must be finite"),
+    ("posterior", _field(2, 3, "inf"), 3, "values must be finite"),
+], ids=["perturbed-x", "duplicated-row", "reversed-rows", "nan-x",
+        "posterior-duplicated-row", "posterior-reversed-rows", "posterior-nan-x",
+        "posterior-inf-x", "posterior-nan-edge", "posterior-inf-edge"])
+def test_malformed_abscissa_is_a_config_error_at_its_line(tmp_path, reader, corrupt, line,
                                                           message):
-    lines = grid_csv_lines()
+    lines = grid_csv_lines() if reader == "profile" else posterior_csv_lines()
     assert lines[4].startswith("0.03,")
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(corrupt(list(lines))) + "\n")
+    read = read_profile_csv if reader == "profile" else read_posterior_csv
     with pytest.raises(ConfigError, match=message) as exc_info:
-        read_profile_csv(bad)
+        read(bad)
     assert exc_info.value.line == line
-    code, stderr = run_main(["impute", "--model", "nn", "--in", str(bad),
-                             "--out", str(tmp_path / "o.csv")])
-    assert code == 1 and f"error: line {line}: " in stderr
-    assert "Traceback" not in stderr
+    if reader == "profile":
+        runs = [["impute", "--model", "nn", "--in", str(bad),
+                 "--out", str(tmp_path / "o.csv")]]
+        error = f"error: line {line}: "
+    else:
+        # eval and plot read the posterior last and name it
+        paths, _ = eval_fixture(tmp_path)
+        inputs = ["--truth", str(paths["truth"]), "--imputed", str(paths["imputed"]),
+                  "--posterior", str(bad)]
+        runs = [["eval", "--masked", str(paths["masked"]), *inputs],
+                ["plot", "--in", str(paths["masked"]), *inputs,
+                 "--out", str(tmp_path / "p.svg")]]
+        error = f"error: {bad}: line {line}: "
+    for argv in runs:
+        code, stderr = run_main(argv)
+        assert code == 1 and stderr.startswith(error), (argv[0], stderr)
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
 
 
 def test_dropped_row_is_reported_where_the_step_breaks(tmp_path):
