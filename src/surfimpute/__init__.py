@@ -19,7 +19,6 @@ from .errors import (
     NoProfileElementsError,
     NothingToImputeError,
     NotPositiveDefiniteError,
-    PartialFillError,
     SurfImputeError,
 )
 from .profile import Grid1D, Profile, make_grid, profile_from_arrays, rq, rsm
@@ -64,7 +63,6 @@ __all__ = [
     "NoProfileElementsError",
     "NothingToImputeError",
     "NotPositiveDefiniteError",
-    "PartialFillError",
     "SurfImputeError",
     # profiles and roughness
     "Grid1D",

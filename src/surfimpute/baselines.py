@@ -1,7 +1,9 @@
 """Classical imputation baselines.
 
 The constant, nearest-neighbour and IDW fills take one pass; the median
-filter repeats passes until every gap has closed.  Each function returns
+filter repeats passes, with no cap, until every gap has closed, and each
+pass takes only its frontier: the missing points within half a window
+of one that became known in the pass before.  Each function returns
 a new, fully valid profile; valid heights are carried over bitwise.
 These are the reference methods GP imputation is measured against.
 Every fill works on whole arrays of missing points at once; the
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import CoverageError, EmptyDatasetError, PartialFillError
+from .errors import CoverageError, EmptyDatasetError
 from .profile import Profile
 
 # largest (missing points x window) band handled in one step
@@ -66,8 +68,7 @@ def impute_nn_mean(profile: Profile) -> Profile:
 def _window_medians(z: np.ndarray, known: np.ndarray, rows: np.ndarray,
                     offsets: np.ndarray):
     """Median of the known heights in each row's window (numpy's median
-    arithmetic) and how many there are; the median of a row with none is
-    meaningless."""
+    arithmetic); every row needs at least one."""
     cols = rows[:, None] + offsets
     inside = (cols >= 0) & (cols < len(z))
     np.clip(cols, 0, len(z) - 1, out=cols)
@@ -79,55 +80,47 @@ def _window_medians(z: np.ndarray, known: np.ndarray, rows: np.ndarray,
     # unknown entries sort last as +inf, so the median sits at the
     # middle of each row's first ``count`` entries; numpy sums the middle
     # entries from +0.0, which turns a -0.0 median into +0.0
-    med = vals[r, np.maximum(count - 1, 0) // 2] + 0.0
-    even = (count > 0) & (count % 2 == 0)
+    med = vals[r, (count - 1) // 2] + 0.0
+    even = count % 2 == 0
     med[even] = (med[even] + vals[r[even], count[even] // 2]) / 2
-    return med, count
+    return med
 
 
-def impute_median_filter(profile: Profile, window: int = 5,
-                         max_passes: int = 1000) -> Profile:
-    """Repeated median-filter fill.
+def impute_median_filter(profile: Profile, window: int = 5) -> Profile:
+    """Repeated median-filter fill, run until every gap has closed.
 
     Each pass fills every still-missing point that has at least one
     valid-or-filled point inside its centred window with the median of
     those (median of an even count = mean of the two middle values,
     numpy's convention); all fills of a pass read the heights as they
     stood at its start.  Gaps longer than the window fill inward from
-    both sides, one pass per layer.  Points still missing after
-    ``max_passes`` raise PartialFillError listing their indices.
+    both sides, one pass per layer, so a point d steps from the nearest
+    valid one fills in pass ceil(d / half-window).  Each pass computes
+    medians for its own frontier only, which keeps the work linear in
+    the number of missing points however long a gap is.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd integer >= 3")
-    if max_passes < 1:
-        raise ValueError("need at least one pass")
-    _check(profile)
+    idx = _check(profile)
     z = profile.z.copy()
     known = profile.valid.copy()
     # a window wider than the profile sees nothing more than the profile
     half = min((window - 1) // 2, profile.n - 1)
     offsets = np.arange(-half, half + 1)
-    for _ in range(max_passes):
-        missing = np.flatnonzero(~known)
-        if len(missing) == 0:
-            break
-        med = np.empty(len(missing))
-        filled = np.empty(len(missing), dtype=bool)
-        for block in _row_blocks(len(missing), len(offsets)):
-            med[block], count = _window_medians(z, known, missing[block],
-                                                offsets)
-            filled[block] = count > 0
-        if not filled.any():
-            break
-        z[missing[filled]] = med[filled]
-        known[missing[filled]] = True
-    remaining = np.flatnonzero(~known)
-    if len(remaining):
-        raise PartialFillError(
-            f"{len(remaining)} points still missing after {max_passes} passes",
-            remaining,
-        )
-    return profile.with_filled(z[np.flatnonzero(~profile.valid)])
+    # the frontier of pass k + 1 is the layer of missing points whose
+    # nearest valid point lies k * half + 1 to (k + 1) * half steps away
+    valid_idx = np.flatnonzero(known)
+    pos = np.searchsorted(valid_idx, idx)
+    steps = np.minimum(np.abs(idx - valid_idx[np.maximum(pos - 1, 0)]),
+                       np.abs(valid_idx[np.minimum(pos, len(valid_idx) - 1)] - idx))
+    layer = (steps - 1) // half
+    order = np.argsort(layer, kind="stable")
+    bounds = np.flatnonzero(np.diff(layer[order])) + 1
+    for rows in np.split(idx[order], bounds):
+        for block in _row_blocks(len(rows), len(offsets)):
+            z[rows[block]] = _window_medians(z, known, rows[block], offsets)
+        known[rows] = True
+    return profile.with_filled(z[idx])
 
 
 def impute_idw(profile: Profile, power: float = 2.0,

@@ -135,18 +135,17 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
 
     if args.seed is None:
         parser.error(f"--seed is required for model {args.model!r}")
-    trace = None
     try:
         with _flag_values(parser):
             opt = OptConfig(max_iterations=args.max_iterations)
             if args.model == "sm":
-                model, trace, _ = fit_sm(
+                model, _, _ = fit_sm(
                     profile, q=args.q, config=opt, seed=args.seed,
                     init_rsm=args.init_rsm, init_rq=args.init_rq,
                     n_restarts=args.restarts,
                 )
             elif args.model == "se":
-                model, trace, _ = fit_se(profile, config=opt)
+                model, _, _ = fit_se(profile, config=opt)
             else:
                 model0 = make_gsm_model(
                     profile,
@@ -155,12 +154,11 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
                     wavelength_left=args.wavelength_left,
                     wavelength_right=args.wavelength_right,
                 )
-                model, trace = fit_gsm(profile, model0, opt)
+                model, _ = fit_gsm(profile, model0, opt)
     except FitFailureError as exc:
-        trace = exc.trace if exc.trace is not None else trace
-        if trace is not None:
+        if exc.trace is not None:
             trace_path = f"{args.out}.trace.csv"
-            trace.write_csv(trace_path)
+            exc.trace.write_csv(trace_path)
             print(f"fit failed; objective trace dumped to {trace_path}",
                   file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
@@ -218,11 +216,10 @@ def cmd_plot(args) -> int:
     masked = _read_named(read_profile_csv, args.infile)
     imputed = _read_named(read_profile_csv, args.imputed) if args.imputed else None
     truth = _read_named(read_profile_csv, args.truth) if args.truth else None
-    band_x = band_lo = band_hi = None
+    band_lo = band_hi = None
     if args.posterior is not None:
         band_lo, band_hi = _interval_for_mask(masked, args.posterior)
-        band_x = masked.x[~masked.valid]
-    write_svg(args.out, masked, imputed, truth, band_x, band_lo, band_hi,
+    write_svg(args.out, masked, imputed, truth, band_lo, band_hi,
               title=args.title)
     print(f"wrote {args.out}")
     return 0

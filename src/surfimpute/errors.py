@@ -37,17 +37,6 @@ class CoverageError(SurfImputeError):
     """A local interpolator found no valid support for some point."""
 
 
-class PartialFillError(SurfImputeError):
-    """A pass-limited filler left points unfilled.
-
-    ``remaining`` holds the indices that are still missing.
-    """
-
-    def __init__(self, message, remaining):
-        super().__init__(message)
-        self.remaining = list(remaining)
-
-
 class InsufficientFeaturesError(SurfImputeError):
     """Fewer surface features (dales) than the mask requested."""
 

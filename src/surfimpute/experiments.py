@@ -67,8 +67,8 @@ def _scored(tag: str, model_name: str, truth: Profile, masked: Profile,
         write_profile_csv(result.profile, f"{path}_imputed.csv")
         write_posterior_csv(result.xm, result.post_mean, result.lo95,
                             result.hi95, f"{path}_posterior.csv")
-        write_svg(f"{path}.svg", masked, result.profile, truth, result.xm,
-                  result.lo95, result.hi95, title=tag)
+        write_svg(f"{path}.svg", masked, result.profile, truth, result.lo95,
+                  result.hi95, title=tag)
         lines = [f"{k} = {v}" for k, v in sorted(metrics.items())]
         lines += ["", "sampled-fill report:"] + report.lines()
         with open(f"{path}_report.txt", "w") as fh:

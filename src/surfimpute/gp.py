@@ -293,7 +293,6 @@ def _grid_predictive(profile: Profile, dataset: SurfaceDataset,
 class ImputationResult:
     profile: Profile
     xm: np.ndarray
-    idx_m: np.ndarray
     post_mean: np.ndarray
     lo95: np.ndarray
     hi95: np.ndarray
@@ -331,7 +330,6 @@ def impute(profile: Profile, model, seed: int) -> ImputationResult:
     return ImputationResult(
         profile=profile.with_filled(draw),
         xm=ds.xm,
-        idx_m=ds.idx_m,
         post_mean=post.mean + offset,
         lo95=lo + offset,
         hi95=hi + offset,
@@ -359,11 +357,9 @@ def estimate_noise_variance(profile: Profile) -> float:
     signal whose curvature per step is negligible; a standard way to
     initialize the noise variance within a factor of a few.
     """
-    idx = np.flatnonzero(profile.valid)
     z = profile.z
-    member = np.zeros(profile.n, dtype=bool)
-    member[idx] = True
-    core = member[1:-1] & member[:-2] & member[2:]
+    valid = profile.valid
+    core = valid[1:-1] & valid[:-2] & valid[2:]
     i = np.flatnonzero(core) + 1
     if len(i) == 0:
         zv = profile.valid_z()

@@ -55,24 +55,25 @@ def masked_runs(valid: np.ndarray):
 
 
 def render_svg(masked: Profile, imputed: Profile | None = None,
-               truth: Profile | None = None,
-               band_x=None, band_lo=None, band_hi=None,
+               truth: Profile | None = None, band_lo=None, band_hi=None,
                title: str = "") -> str:
     """Render a masked profile, optionally with the imputed curve, the
-    ground truth, and a 95 % credible band over the masked points."""
+    ground truth, and a 95 % credible band over the masked points
+    (``band_lo`` and ``band_hi`` hold one value per masked point, in
+    order)."""
     x = masked.x
     ys = [masked.valid_z()]
     if truth is not None:
         ys.append(truth.z[np.isfinite(truth.z)])
     if imputed is not None:
         ys.append(imputed.z[np.isfinite(imputed.z)])
-    has_band = band_x is not None
+    has_band = band_lo is not None
     if has_band:
-        band_x = np.asarray(band_x, dtype=float)
         band_lo = np.asarray(band_lo, dtype=float)
         band_hi = np.asarray(band_hi, dtype=float)
-        if band_lo.shape != band_x.shape or band_hi.shape != band_x.shape:
-            raise ValueError("band arrays must share one shape")
+        shape = (masked.n_missing,)
+        if band_lo.shape != shape or band_hi.shape != shape:
+            raise ValueError("band arrays need one value per masked point")
         ys.extend([band_lo, band_hi])
     yall = np.concatenate([np.atleast_1d(a) for a in ys])
     if len(yall) == 0:
@@ -108,7 +109,8 @@ def render_svg(masked: Profile, imputed: Profile | None = None,
         f'fill="#ffffff"/>',
     ]
 
-    for start, stop in masked_runs(masked.valid):
+    runs = masked_runs(masked.valid)
+    for start, stop in runs:
         xa = float(x[start])
         xb = float(x[stop - 1])
         parts.append(
@@ -118,14 +120,12 @@ def render_svg(masked: Profile, imputed: Profile | None = None,
             f'height="{_fmt(ph)}"/>'
         )
 
-    if has_band and len(band_x) > 0:
-        # one polygon per contiguous stretch so the band never bridges
-        # separate masked regions
-        breaks = np.flatnonzero(np.diff(band_x) > 1.5 * masked.dx)
-        seg_starts = np.concatenate([[0], breaks + 1])
-        seg_stops = np.concatenate([breaks + 1, [len(band_x)]])
-        for a, b in zip(seg_starts, seg_stops):
-            xs = band_x[a:b]
+    if has_band:
+        # one polygon per masked run so the band never bridges separate
+        # masked regions; a = where the run starts among the band values
+        a = 0
+        for start, stop in runs:
+            xs, b = x[start:stop], a + stop - start
             fwd = [f"{_fmt(sx(v))},{_fmt(sy(h))}"
                    for v, h in zip(xs, band_hi[a:b])]
             bwd = [f"{_fmt(sx(v))},{_fmt(sy(l))}"
@@ -133,6 +133,7 @@ def render_svg(masked: Profile, imputed: Profile | None = None,
             parts.append(
                 f'<polygon class="band" points="{" ".join(fwd + bwd)}"/>'
             )
+            a = b
 
     if truth is not None:
         parts.append(polyline(truth.x, truth.z, "truth"))
@@ -195,9 +196,8 @@ def render_svg(masked: Profile, imputed: Profile | None = None,
 
 
 def write_svg(path, masked: Profile, imputed: Profile | None = None,
-              truth: Profile | None = None, band_x=None, band_lo=None,
-              band_hi=None, title: str = "") -> None:
-    content = render_svg(masked, imputed, truth, band_x, band_lo, band_hi,
-                         title)
+              truth: Profile | None = None, band_lo=None, band_hi=None,
+              title: str = "") -> None:
+    content = render_svg(masked, imputed, truth, band_lo, band_hi, title)
     with open(path, "w") as fh:
         fh.write(content)

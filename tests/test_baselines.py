@@ -12,7 +12,6 @@ from surfimpute import baselines
 from surfimpute import (
     CoverageError,
     EmptyDatasetError,
-    PartialFillError,
     Profile,
     impute_constant,
     impute_idw,
@@ -146,15 +145,54 @@ def test_medfilt_matches_step_by_step_simulation():
     assert np.array_equal(out.z, np.where(valid, z, zz))
 
 
-def test_medfilt_pass_count_on_hand_case():
+def counted_medians(monkeypatch):
+    """The rows of each ``_window_medians`` call, as lists of indices."""
+    calls = []
+    original = baselines._window_medians
+
+    def counted(z, known, rows, offsets):
+        calls.append(rows.tolist())
+        return original(z, known, rows, offsets)
+
+    monkeypatch.setattr(baselines, "_window_medians", counted)
+    return calls
+
+
+def test_medfilt_pass_count_on_hand_case(monkeypatch):
     # run of 5 with window 3 needs ceil(5 / (3 - 1)) = 3 passes:
     # edges, next layer, then the center point
+    calls = counted_medians(monkeypatch)
     p = gapped([1.0, 3.0], gap_at=1, gap_len=5)
-    out = impute_median_filter(p, window=3, max_passes=3)
+    out = impute_median_filter(p, window=3)
     assert np.all(out.valid)
-    with pytest.raises(PartialFillError) as err:
-        impute_median_filter(p, window=3, max_passes=2)
-    assert list(err.value.remaining) == [3]
+    assert calls == [[1, 5], [2, 4], [3]]
+    assert out.z.tolist() == [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
+
+
+def test_medfilt_computes_each_missing_median_once(monkeypatch):
+    # each pass takes only its frontier, so the rows of all passes add up
+    # to the missing count; a pass that rescanned every missing point
+    # would count the middle of the long gaps once per pass
+    calls = counted_medians(monkeypatch)
+    rng = np.random.default_rng(3)
+    valid = np.ones(400, dtype=bool)
+    valid[:37] = valid[50:51] = valid[90:230] = valid[300:] = False
+    p = profile_of(np.where(valid, rng.standard_normal(400), math.nan), valid)
+    impute_median_filter(p, window=5)
+    assert sum(len(rows) for rows in calls) == p.n_missing
+
+
+def test_medfilt_closes_a_gap_of_any_length():
+    # the last 2001 of 2101 points missing: 1001 passes at window 5
+    z = np.arange(2101.0)
+    valid = z < 100
+    out = impute_median_filter(profile_of(np.where(valid, z, math.nan), valid), window=5)
+    assert np.all(out.valid)
+    assert np.array_equal(out.z[:100], z[:100])
+    # odd indices copy 99 and each even one averages the two before it,
+    # so the fill rises from 98.5 towards 99
+    assert out.z[100] == 98.5 and out.z[-1] == 99.0
+    assert np.all((out.z[100:] >= 98.5) & (out.z[100:] <= 99.0))
 
 
 def test_medfilt_parameter_validation():
@@ -162,8 +200,6 @@ def test_medfilt_parameter_validation():
     for bad_window in (2, 4, 1, -3):
         with pytest.raises(ValueError):
             impute_median_filter(p, window=bad_window)
-    with pytest.raises(ValueError):
-        impute_median_filter(p, window=3, max_passes=0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +361,22 @@ def ref_nn_mean(profile):
     return profile.with_filled(fills)
 
 
-def ref_median_filter(profile, window, max_passes):
+def ref_median_filter(profile, window):
+    # every pass fills at least one point while any valid point exists
     z = profile.z.copy()
     known = profile.valid.copy()
     half = (window - 1) // 2
     n = profile.n
-    for _ in range(max_passes):
-        missing = np.flatnonzero(~known)
-        if len(missing) == 0:
-            break
+    while not np.all(known):
         new_vals = {}
-        for i in missing:
+        for i in np.flatnonzero(~known):
             lo, hi = max(0, i - half), min(n, i + half + 1)
             vals = z[lo:hi][known[lo:hi]]
             if len(vals):
                 new_vals[i] = float(np.median(vals))
-        if not new_vals:
-            break
         for i, val in new_vals.items():
             z[i] = val
             known[i] = True
-    remaining = np.flatnonzero(~known)
-    if len(remaining):
-        raise PartialFillError(
-            f"{len(remaining)} points still missing after {max_passes} passes",
-            remaining,
-        )
     return profile.with_filled(z[np.flatnonzero(~profile.valid)])
 
 
@@ -374,7 +400,7 @@ def ref_idw(profile, power, radius):
 def outcome(fill, *args):
     try:
         return fill(*args).z, None
-    except (CoverageError, PartialFillError) as exc:
+    except CoverageError as exc:
         return None, exc
 
 
@@ -383,7 +409,6 @@ def assert_same_outcome(got, want, rtol=0.0, scale=1.0):
     assert type(err) is type(err_ref)
     if err is not None:
         assert str(err) == str(err_ref)
-        assert getattr(err, "remaining", None) == getattr(err_ref, "remaining", None)
         return
     if rtol == 0.0:
         assert same_bits(z, z_ref)
@@ -414,13 +439,12 @@ def run_masked_profiles(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(p=run_masked_profiles(), window=st.sampled_from([3, 5, 7, 9, 11]),
-       max_passes=st.integers(1, 8), power=st.floats(0.5, 4.0),
+       power=st.floats(0.5, 4.0),
        radius_steps=st.integers(1, 40).map(float) | st.floats(1.0, 40.0))
-def test_fills_match_the_per_point_reference(p, window, max_passes, power,
-                                             radius_steps):
+def test_fills_match_the_per_point_reference(p, window, power, radius_steps):
     assert_same_outcome(outcome(impute_nn_mean, p), outcome(ref_nn_mean, p))
-    assert_same_outcome(outcome(impute_median_filter, p, window, max_passes),
-                        outcome(ref_median_filter, p, window, max_passes))
+    assert_same_outcome(outcome(impute_median_filter, p, window),
+                        outcome(ref_median_filter, p, window))
     # a whole number of steps puts grid points right on the radius, where
     # rounding decides; a weighted mean of heights is exact to a few ulps
     # of the largest one
@@ -443,7 +467,7 @@ def test_idw_blocks_agree_with_one_band(monkeypatch):
     blocked = impute_idw(p, power=1.5, radius=0.4)
     assert same_bits(whole.z, blocked.z)
     assert same_bits(impute_median_filter(p, window=9).z,
-                     ref_median_filter(p, 9, 1000).z)
+                     ref_median_filter(p, 9).z)
 
 
 def test_idw_radius_spanning_the_profile_keeps_a_bounded_band():

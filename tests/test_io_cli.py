@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from surfimpute import (
     ConfigError,
+    FitFailureError,
     GridMismatchError,
     MustImputeFirstError,
     NothingToImputeError,
@@ -37,8 +38,10 @@ from surfimpute import (
     write_profile_csv,
     write_svg,
 )
+from surfimpute import cli
 from surfimpute.cli import main
 from surfimpute.io import POSTERIOR_HEADER, PROFILE_HEADER
+from surfimpute.optimize import OptTrace
 from surfimpute.plotting import masked_runs
 from surfimpute.profile import GRID_REL_TOL
 
@@ -366,11 +369,9 @@ def test_render_svg_deterministic_and_well_formed(tmp_path):
 
 def test_render_svg_band_and_span_parse_back():
     masked, truth = toy_profile()
-    miss = ~masked.valid
-    xm = masked.x[miss]
-    mean = truth.z[miss]
+    mean = truth.z[~masked.valid]
     svg = render_svg(masked, imputed=truth, truth=truth,
-                     band_x=xm, band_lo=mean - 1.0, band_hi=mean + 1.0)
+                     band_lo=mean - 1.0, band_hi=mean + 1.0)
     # two masked gaps -> two band polygons (the band never bridges gaps)
     assert svg.count('class="band"') == 2
     assert svg.count('class="imputed"') == 1
@@ -382,8 +383,10 @@ def test_render_svg_band_and_span_parse_back():
         assert x0 == float(masked.x[a])
         assert x1 == float(masked.x[b - 1])
 
-    with pytest.raises(ValueError, match="share one shape"):
-        render_svg(masked, band_x=xm, band_lo=mean[:2], band_hi=mean)
+    # the band sits at the masked positions: one value per masked point
+    for lo, hi in ((mean[:2], mean), (mean, mean[:-1]), (np.append(mean, 0.0), mean)):
+        with pytest.raises(ValueError, match="one value per masked point"):
+            render_svg(masked, band_lo=lo, band_hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +591,43 @@ def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
         assert code == 1, model
         assert stderr == f"error: {fit} fit could not start: the height variance overflows\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_fit_failure_dumps_the_trace_it_carries(tmp_path, monkeypatch):
+    trace = OptTrace(objectives=[-3.5, -1.25, 0.1], termination="non-finite objective")
+
+    def failing_fit(profile, model0, config):
+        raise FitFailureError("GSM fit failed: no finite objective", trace=trace)
+
+    monkeypatch.setattr(cli, "fit_gsm", failing_fit)
+    masked, _ = toy_profile()
+    src = tmp_path / "masked.csv"
+    write_profile_csv(masked, src)
+    out = tmp_path / "gsm.csv"
+    code, stderr = run_main(["impute", "--model", "gsm", "--seed", "1",
+                             "--in", str(src), "--out", str(out)])
+    assert code == 1
+    assert stderr == (f"fit failed; objective trace dumped to {out}.trace.csv\n"
+                      "error: GSM fit failed: no finite objective\n")
+    rows = (tmp_path / "gsm.csv.trace.csv").read_text().splitlines()
+    assert rows[0] == "iteration,objective"
+    assert [float(row.split(",")[1]) for row in rows[1:]] == trace.objectives
+    assert not out.exists()
+
+
+def test_cli_medfilt_closes_a_long_end_gap(tmp_path):
+    z = np.arange(2101.0)
+    valid = z < 100
+    src = tmp_path / "masked.csv"
+    write_profile_csv(Profile(make_grid(0.0, 1e-3, len(z)), np.where(valid, z, np.nan), valid),
+                      src)
+    out = tmp_path / "medfilt.csv"
+    code, stdout, stderr = run_cli(["impute", "--model", "medfilt", "--window", "5",
+                                    "--in", str(src), "--out", str(out)])
+    assert (code, stderr) == (0, "")
+    assert "imputed 2001 points" in stdout
+    filled = read_profile_csv(out)
+    assert filled.valid.all() and np.array_equal(filled.z[:100], z[:100])
 
 
 # ---------------------------------------------------------------------------
