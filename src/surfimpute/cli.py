@@ -1,9 +1,10 @@
 """Command-line interface: simulate, mask, impute, eval, plot,
 experiment.
 
-Exit codes: 0 success, 1 domain error (bad data, fit failure, missing
-file), 2 usage error.  Every stochastic command requires --seed; given
-identical flags and seed the output files are byte-identical.
+Exit codes: 0 success, 1 domain error (bad data, a fit that cannot
+start, missing file), 2 usage error.  A fit that stops at a non-finite
+objective is a warning.  Every stochastic command requires --seed;
+given identical flags and seed the output files are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .baselines import (
     impute_median_filter,
     impute_nn_mean,
 )
-from .errors import ConfigError, FitFailureError, GridMismatchError, SurfImputeError
+from .errors import ConfigError, GridMismatchError, SurfImputeError
 from .evaluate import evaluate
 from .experiments import run_chirp_experiment, run_turned_experiment
 from .gp import fit_se, fit_sm, impute
@@ -50,9 +51,8 @@ BASELINE_MODELS = ("mean", "median", "nn", "medfilt", "idw")
 
 
 def _config_schema(cls):
-    # every simulator config field is a float except the integer counts
-    ints = {"n", "k_max"}
-    return {f.name: (int if f.name in ints else float) for f in fields(cls)}
+    # synthesis postpones its annotations, so a field's type is its name
+    return {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
 
 
 def _load_sim_config(cls, path):
@@ -135,34 +135,34 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
 
     if args.seed is None:
         parser.error(f"--seed is required for model {args.model!r}")
-    try:
-        with _flag_values(parser):
-            opt = OptConfig(max_iterations=args.max_iterations)
-            if args.model == "sm":
-                model, _, _ = fit_sm(
-                    profile, q=args.q, config=opt, seed=args.seed,
-                    init_rsm=args.init_rsm, init_rq=args.init_rq,
-                    n_restarts=args.restarts,
-                )
-            elif args.model == "se":
-                model, _, _ = fit_se(profile, config=opt)
-            else:
-                model0 = make_gsm_model(
-                    profile,
-                    n_latent=args.n_latent,
-                    rq0=args.init_rq,
-                    wavelength_left=args.wavelength_left,
-                    wavelength_right=args.wavelength_right,
-                )
-                model, _ = fit_gsm(profile, model0, opt)
-    except FitFailureError as exc:
-        if exc.trace is not None:
-            trace_path = f"{args.out}.trace.csv"
-            exc.trace.write_csv(trace_path)
-            print(f"fit failed; objective trace dumped to {trace_path}",
-                  file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _flag_values(parser):
+        opt = OptConfig(max_iterations=args.max_iterations)
+        if args.model == "sm":
+            model, _, traces = fit_sm(
+                profile, q=args.q, config=opt, seed=args.seed,
+                init_rsm=args.init_rsm, init_rq=args.init_rq,
+                n_restarts=args.restarts,
+            )
+        elif args.model == "se":
+            model, _, traces = fit_se(profile, config=opt)
+        else:
+            model0 = make_gsm_model(
+                profile,
+                n_latent=args.n_latent,
+                rq0=args.init_rq,
+                wavelength_left=args.wavelength_left,
+                wavelength_right=args.wavelength_right,
+            )
+            model, trace = fit_gsm(profile, model0, opt)
+            traces = [trace]
+    stopped = [t for t in traces if t.termination == "nonfinite"]
+    if stopped:
+        trace_path = f"{args.out}.trace.csv"
+        stopped[0].write_csv(trace_path)
+        print(f"warning: a run of the {args.model} fit stopped at iteration "
+              f"{stopped[0].n_iterations}, where its objective is not finite; the fit "
+              f"keeps its best finite iterate (objective trace: {trace_path})",
+              file=sys.stderr)
 
     result = impute(profile, model, args.seed + 1)
     write_profile_csv(result.profile, args.out)

@@ -42,16 +42,10 @@ class InsufficientFeaturesError(SurfImputeError):
 
 
 class FitFailureError(SurfImputeError):
-    """Hyperparameter optimization failed; carries the last finite iterate.
-
-    ``model`` is the best model found before failure (may be None when
-    not even the start point evaluated to a finite objective).
-    """
-
-    def __init__(self, message, model=None, trace=None):
-        super().__init__(message)
-        self.model = model
-        self.trace = trace
+    """A fit could not start: its data, start point or start objective
+    is not finite.  A fit that starts and later meets a non-finite
+    objective returns its best finite iterate instead, with the trace's
+    ``termination == "nonfinite"``."""
 
 
 class GridMismatchError(SurfImputeError):

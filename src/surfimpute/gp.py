@@ -172,15 +172,27 @@ def _inverse_lower(fac: np.ndarray) -> np.ndarray:
     return inv.T
 
 
-def _rejecting_failures(evaluate, raw):
-    """An objective's ``evaluate(raw)`` with floating-point warnings off;
-    a refused factorization gives ``(-inf, zeros)``, a rejected point,
+def _rejecting_failures(evaluate, raw, size: int):
+    """An objective's ``evaluate(raw) -> (value, gradient)`` with
+    floating-point warnings off, under the rules both fits share: a
+    point whose coordinates are not finite, whose factorization
+    ``chol_jittered`` refuses, or whose value or gradient is not finite
+    gives ``(-inf, zeros)``, a rejected point, at which the optimizer
+    stops.  A vector that is not of length ``size`` raises ValueError,
     and any other error propagates."""
+    if np.shape(raw) != (size,):
+        raise ValueError(f"expected {size} coordinates, got shape {np.shape(raw)}")
+    rejected = -np.inf, np.zeros_like(raw)
+    if not np.all(np.isfinite(raw)):
+        return rejected
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return evaluate(raw)
+            value, grad = evaluate(raw)
     except (NotPositiveDefiniteError, np.linalg.LinAlgError):
-        return -np.inf, np.zeros_like(raw)
+        return rejected
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        return rejected
+    return value, grad
 
 
 def _centered_dataset(profile: Profile):
@@ -381,11 +393,10 @@ class _GridMllObjective:
     the grid.  The gradient is then one matvec of the table's stacked
     parameter derivatives with those sums.
 
-    A point whose coordinates, value or gradient are not finite, whose
-    kernel or noise the parameter classes reject, or whose matrix
-    ``chol_jittered`` refuses (not finite, or not positive definite),
-    gives ``(-inf, zeros)``, so the optimizer stops there.  Neither the
-    table nor A is scanned: chol_jittered refuses a non-finite A.
+    ``_rejecting_failures`` rejects the points both fits reject; this
+    objective also rejects a point whose kernel or noise the parameter
+    classes refuse.  Neither the table nor A is scanned: chol_jittered
+    refuses a non-finite A.
 
     The objective owns its work buffer for A, so one instance must not
     be called from two threads at once.
@@ -410,19 +421,13 @@ class _GridMllObjective:
         return kernel, noise
 
     def __call__(self, raw):
-        return _rejecting_failures(self._evaluate, raw)
+        return _rejecting_failures(self._evaluate, raw, self.n_raw)
 
     def _evaluate(self, raw):
-        if np.shape(raw) != (self.n_raw,):
-            raise ValueError(f"expected {self.n_raw} raw parameters, "
-                             f"got shape {np.shape(raw)}")
-        rejected = -np.inf, np.zeros_like(raw)
-        if not np.all(np.isfinite(raw)):
-            return rejected
         try:
             kernel, noise = self.split(raw)
         except ValueError:  # a parameter class rejects an under- or overflow
-            return rejected
+            return -np.inf, np.zeros_like(raw)
         table, grads = _lag_terms(kernel, noise, self.tau)
         # mode "clip" writes straight into out (the default buffers it);
         # every index is in range by construction
@@ -434,10 +439,7 @@ class _GridMllObjective:
         by_lag -= np.bincount(self.lag_idx.ravel(), _inverse_lower(fac).ravel(),
                               minlength=self.n_lags)
         by_lag[1:] *= 2.0
-        g = 0.5 * (grads @ by_lag)
-        if not (np.isfinite(value) and np.all(np.isfinite(g))):
-            return rejected
-        return value, g
+        return value, 0.5 * (grads @ by_lag)
 
 
 def fit_gp(profile: Profile, kernel0, noise0, config: OptConfig = OptConfig(),
@@ -446,10 +448,10 @@ def fit_gp(profile: Profile, kernel0, noise0, config: OptConfig = OptConfig(),
 
     Returns ``(GPModel, best_trace, all_traces)``.  The valid heights
     are centered before fitting; restarts perturb the start point by
-    +-20 % in log space.  Raises FitFailureError with model=None when a
-    start point or its objective is not finite.  A run whose objective
-    turns non-finite later stops there with ``termination == "nonfinite"``
-    and keeps its best finite iterate (``fit_gsm`` raises instead).
+    +-20 % in log space.  Raises FitFailureError when the fit cannot
+    start: a start point or its objective is not finite.  A run whose
+    objective turns non-finite later stops there with ``termination ==
+    "nonfinite"`` and keeps its best finite iterate, as ``fit_gsm`` does.
     """
     centered, _ = _centered_dataset(profile)
     objective = _GridMllObjective(centered, profile.dx, kernel0, noise0)

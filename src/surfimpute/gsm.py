@@ -262,18 +262,16 @@ class _GsmObjective:
         return scales[:, None] * (self.maps @ vs[:, :, None])[:, :, 0]
 
     def __call__(self, raw: np.ndarray):
-        # _evaluate rejects non-finite coordinates, hyperparameters,
-        # values and gradients; chol_jittered refuses a non-finite A
-        return _rejecting_failures(self._evaluate, raw)
+        # _evaluate rejects variances that under- or overflow; the guard
+        # rejects the rest, and chol_jittered refuses a non-finite A
+        return _rejecting_failures(self._evaluate, raw, 3 * self.p + 4)
 
     def _evaluate(self, raw: np.ndarray):
         p = self.p
         xa, za = self.xa, self.za
         vs, sigma_n2, sigma2s = self.split(raw)
-        rejected = -np.inf, np.zeros_like(raw)
-        if not (np.all(np.isfinite(raw)) and 0.0 < sigma_n2 < math.inf
-                and np.all((sigma2s > 0.0) & (sigma2s < math.inf))):
-            return rejected
+        if not (0.0 < sigma_n2 < math.inf and np.all((sigma2s > 0.0) & (sigma2s < math.inf))):
+            return -np.inf, np.zeros_like(raw)
 
         scales = np.sqrt(sigma2s)
         devs = self._deviations(vs, scales)
@@ -293,8 +291,6 @@ class _GsmObjective:
         self._a_diag += sigma_n2
         fac_a, alpha, value = _gaussian_core(a, za)
         value += -0.5 * np.sum(vs * vs) - 1.5 * p * LOG_2PI
-        if not np.isfinite(value):
-            return rejected
         np.copyto(self._a_diag, self._k_diag)  # A holds K again
 
         # _inverse_lower overwrites the factor with the lower triangle
@@ -329,8 +325,6 @@ class _GsmObjective:
         grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - tr_inv)
         # u_h - mean_h scales as sqrt(sigma_h^2): du = (u_h - mean_h) / 2
         grad[3 * p + 1 :] = 0.5 * np.einsum("hn,hn->h", sens, devs)
-        if not np.all(np.isfinite(grad)):
-            return rejected
         return float(value), grad
 
 
@@ -342,25 +336,18 @@ def fit_gsm(profile: Profile, model0: GsmModel,
 
     Returns ``(model, trace)``.  Objective values are comparable only
     within one dataset (the posterior is defined up to a constant).
-    Raises FitFailureError carrying the last finite iterate if the
-    objective turns non-finite, or with model=None when the start
-    point itself is invalid.
+    Raises FitFailureError when the fit cannot start: the start point or
+    its objective is not finite.  A run whose objective turns non-finite
+    later stops there with ``termination == "nonfinite"`` and keeps its
+    best finite iterate, as ``fit_gp`` does.
     """
     centered, _ = _centered_dataset(profile)
     objective = _GsmObjective(model0, centered)
-    x0 = objective.pack(model0)
     try:
-        best_x, trace = maximize(objective, x0, config)
+        best_x, trace = maximize(objective, objective.pack(model0), config)
     except ValueError as exc:
         raise FitFailureError(f"GSM fit could not start: {exc}") from exc
-    model = objective.unpack(best_x)
-    if trace.termination == "nonfinite":
-        raise FitFailureError(
-            "objective became non-finite during the GSM fit",
-            model=model,
-            trace=trace,
-        )
-    return model, trace
+    return objective.unpack(best_x), trace
 
 
 def make_gsm_model(profile: Profile, n_latent: int = 100,

@@ -8,7 +8,6 @@ restarts draw their perturbations from a seeded generator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,8 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# the fixed Adam step, in the units of the optimization coordinates
+STEP = 0.01
 # restarts perturb each start coordinate by up to +-20 % (relative)
 RESTART_SCALE = 0.2
 
@@ -24,11 +25,10 @@ RESTART_SCALE = 0.2
 @dataclass(frozen=True)
 class OptConfig:
     max_iterations: int = 500
-    step: float = 0.01
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.step <= 0:
-            raise ValueError("need max_iterations >= 1 and step > 0")
+        if self.max_iterations < 1:
+            raise ValueError("need max_iterations >= 1")
 
 
 @dataclass
@@ -40,11 +40,9 @@ class OptTrace:
     n_iterations: int = 0
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for i, v in enumerate(self.objectives):
-                writer.writerow([i, f"{v:.17g}"])
+        lines = ["iteration,objective"] + [f"{i},{v:.17g}" for i, v in enumerate(self.objectives)]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def maximize(fun, x0, config: OptConfig = OptConfig()):
@@ -73,7 +71,7 @@ def maximize(fun, x0, config: OptConfig = OptConfig()):
         v = BETA2 * v + (1.0 - BETA2) * g * g
         mhat = m / (1.0 - BETA1**t)
         vhat = v / (1.0 - BETA2**t)
-        x = x + config.step * mhat / (np.sqrt(vhat) + EPS)
+        x = x + STEP * mhat / (np.sqrt(vhat) + EPS)
 
         f, g = fun(x)
         f = float(f)

@@ -4,7 +4,8 @@ Each one is the plain, slow form of something the library computes a
 faster way: scalar kernels, the dense marginal likelihood and its
 gradient, the noise-free posterior, the GSM log posterior, central
 finite differences and the per-point scan for masked runs.  No library code calls them; they live here, not
-in ``surfimpute``.  pytest does not collect this module (its name does
+in ``surfimpute``, with one fault injector that several test modules
+share.  pytest does not collect this module (its name does
 not start with ``test_``); test modules import it by name, as their
 own directory is on the import path.
 """
@@ -12,6 +13,7 @@ own directory is on the import path.
 import numpy as np
 
 from surfimpute import gp
+from surfimpute.errors import NotPositiveDefiniteError
 from surfimpute.kernels import TWO_PI, build_cov, n_params, terms_on_lags, value_on_lags
 
 # ---------------------------------------------------------------------------
@@ -161,3 +163,24 @@ def masked_runs(valid):
     if inside:
         runs.append((start, len(valid)))
     return runs
+
+
+# ---------------------------------------------------------------------------
+# fault injection
+
+
+def refuse_the_second_factorization(monkeypatch):
+    """Make ``gp.chol_jittered``, which both objectives and the
+    imputation reach through ``gp._gaussian_core``, refuse its second
+    call and only that one: a fit's start point evaluates, its first
+    step is rejected, and every later factorization runs as before."""
+    real = gp.chol_jittered
+    calls = []
+
+    def chol(a):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NotPositiveDefiniteError("refused")
+        return real(a)
+
+    monkeypatch.setattr(gp, "chol_jittered", chol)

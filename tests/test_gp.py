@@ -22,7 +22,7 @@ from surfimpute import (
     make_grid,
     rq,
 )
-from surfimpute import gp, synthesis
+from surfimpute import gp, gsm, synthesis
 from surfimpute.gp import (
     GPModel,
     _GridMllObjective,
@@ -55,6 +55,7 @@ from oracles import (
     log_marginal_likelihood,
     mll_gradient,
     posterior,
+    refuse_the_second_factorization,
     training_matrix,
 )
 
@@ -655,17 +656,40 @@ def test_grid_objective_buffers_carry_no_state_between_calls():
     assert np.array_equal(g1.view(np.uint64), kept.view(np.uint64))
 
 
-def test_grid_objective_rejects_nonfinite_and_unfactorable_points(monkeypatch):
+def _shared_guard_case(kind):
+    """One objective of each fit on the same 50-point profile, its start
+    vector, the module whose ``_inverse_lower`` it calls, and the
+    coordinates whose overflow makes its covariance not finite."""
     prof = random_profile(32, n=50, missing=6)
-    ds = split_dataset(prof)
-    kernel = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
-    noise = NoiseParams("white", 0.03)
-    obj = _GridMllObjective(ds, prof.dx, kernel, noise)
-    x = np.concatenate([raw_vector(kernel), raw_vector(noise)])
-    rejected = []
-    for i, value in ((0, math.nan), (-1, math.inf), (0, 800.0), (-1, 800.0)):
+    ds, _ = gp._centered_dataset(prof)
+    if kind == "grid":
+        kernel = SMParams([0.8, 0.3], [5.0, 11.0], [1.0, 4.0])
+        noise = NoiseParams("white", 0.03)
+        obj = _GridMllObjective(ds, prof.dx, kernel, noise)
+        x = np.concatenate([raw_vector(kernel), raw_vector(noise)])
+        return obj, x, gp, (slice(0, 1), slice(-1, None))  # a weight, the noise
+    model0 = gsm.make_gsm_model(prof, n_latent=6)
+    obj = gsm._GsmObjective(model0, ds)
+    return obj, obj.pack(model0), gsm, (slice(0, 6),)  # the weight latent
+
+
+@pytest.mark.parametrize("kind", ["grid", "gsm"])
+def test_objectives_share_one_rejection_guard(kind, monkeypatch):
+    # gp._rejecting_failures turns each of these points into exactly
+    # (-inf, zeros), for both objectives alike
+    obj, x, module, overflows = _shared_guard_case(kind)
+    assert np.isfinite(obj(x)[0])
+    evaluated, rejected = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(obj, "_evaluate", lambda raw: evaluated.append(raw))
+        for index, value in ((0, math.nan), (-1, math.inf)):
+            bad = x.copy()
+            bad[index] = value
+            rejected.append(obj(bad))
+    assert not evaluated  # the guard rejects a non-finite coordinate itself
+    for index in overflows:
         bad = x.copy()
-        bad[i] = value  # non-finite coordinate, or an overflowing table
+        bad[index] = 800.0  # a covariance that is not finite, which chol_jittered refuses
         rejected.append(obj(bad))
 
     def fails(exc):
@@ -674,14 +698,29 @@ def test_grid_objective_rejects_nonfinite_and_unfactorable_points(monkeypatch):
         return chol
 
     for exc in (NotPositiveDefiniteError, np.linalg.LinAlgError):
-        monkeypatch.setattr(gp, "chol_jittered", fails(exc))
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "chol_jittered", fails(exc))
+            rejected.append(obj(x))
+
+    # a NaN inverse leaves the value finite and makes the gradient NaN
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_inverse_lower", lambda fac: np.full_like(fac, math.nan))
+        with np.errstate(invalid="ignore"):
+            value, grad = obj._evaluate(x)
+        assert np.isfinite(value) and not np.all(np.isfinite(grad))
         rejected.append(obj(x))
+
+    assert len(rejected) == 5 + len(overflows)
     for value, grad in rejected:
         assert value == -np.inf
-        assert np.array_equal(grad, np.zeros(len(x)))
+        assert type(grad) is np.ndarray and np.array_equal(grad, np.zeros(len(x)))
+    # a vector of the wrong length is a fault, not a rejected point
+    for wrong in (np.append(x, 0.0), x[:-1], np.append(x, math.nan)):
+        with pytest.raises(ValueError, match=f"expected {len(x)} coordinates"):
+            obj(wrong)
 
 
-def test_grid_objective_rejects_what_the_parameter_classes_reject():
+def test_grid_objective_rejects_what_the_parameter_classes_reject(monkeypatch):
     # raw log -800 underflows to a zero weight or lengthscale, which the
     # parameter classes refuse; the objective rejects the point instead
     prof = random_profile(32, n=50, missing=6)
@@ -697,17 +736,17 @@ def test_grid_objective_rejects_what_the_parameter_classes_reject():
         assert value == -np.inf
         assert np.array_equal(grad, np.zeros(len(bad)))
         # a vector of the wrong length is a fault, not a rejected point
-        with pytest.raises(ValueError, match="raw parameters"):
+        with pytest.raises(ValueError, match="coordinates"):
             obj(np.append(bad, 0.0))
 
-    # SE variance 100 on unit-amplitude data: the first fixed-size step
-    # lowers log sigma^2 by 800, and the fit stops there
+    # a fit stops at its first rejected point and keeps its start
     obj = _GridMllObjective(ds, prof.dx, se, noise)
     x0 = np.concatenate([raw_vector(se), raw_vector(noise)])
-    assert obj(x0)[1][0] < 0.0
-    _, trace = maximize(obj, x0, OptConfig(max_iterations=5, step=800.0))
+    refuse_the_second_factorization(monkeypatch)
+    x, trace = maximize(obj, x0, OptConfig(max_iterations=5))
     assert trace.termination == "nonfinite"
-    assert trace.n_iterations == 1
+    assert trace.n_iterations == 1 and len(trace.objectives) == 1
+    assert np.array_equal(x, x0)
 
 
 # ---------------------------------------------------------------------------

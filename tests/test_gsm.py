@@ -45,7 +45,7 @@ from surfimpute.synthesis import (
     simulate_chirp,
 )
 
-from oracles import fd_gradient, log_posterior
+from oracles import fd_gradient, log_posterior, refuse_the_second_factorization
 
 LATENT_JITTER = 1e-8
 LOG_2PI = math.log(2.0 * math.pi)
@@ -499,7 +499,7 @@ def test_objective_rejects_a_vector_of_the_wrong_length():
     obj = _GsmObjective(model, dataset_on(np.linspace(0.0, 1.0, 8), np.zeros(8)))
     x0 = obj.pack(model)
     assert np.isfinite(obj(x0)[0])
-    with pytest.raises(ValueError, match="optimization coordinates"):
+    with pytest.raises(ValueError, match=f"expected {len(x0)} coordinates"):
         obj(np.append(x0, 0.0))
 
 
@@ -614,17 +614,20 @@ def test_fit_gsm_rejects_nonfinite_start():
     bad = replace(gen, w=replace(gen.w, v=np.full(4, 800.0)))
     with pytest.raises(FitFailureError) as err:
         fit_gsm(profile, bad, OptConfig(max_iterations=5))
-    assert err.value.model is None
+    assert str(err.value) == "GSM fit could not start: objective is not finite at the start point (-inf)"
 
 
-def test_fit_gsm_nonfinite_mid_run_carries_last_iterate():
+def test_fit_gsm_stops_at_a_nonfinite_objective_with_its_best_iterate(monkeypatch):
+    # as fit_gp does: the first step is rejected, and the fit returns its
+    # start, the best finite iterate, in place of raising
     gen = small_model(p=4, seed=21, noise=0.05)
     profile = gsm_draw_profile(gen, 20, seed=22)
-    # a huge step overflows the log-hyperparameters after the first move
-    with pytest.raises(FitFailureError) as err:
-        fit_gsm(profile, gen, OptConfig(max_iterations=30, step=400.0))
-    assert err.value.model is not None
-    assert err.value.trace.termination == "nonfinite"
+    obj = _GsmObjective(gen, _centered_dataset(profile)[0])
+    refuse_the_second_factorization(monkeypatch)
+    model, trace = fit_gsm(profile, gen, OptConfig(max_iterations=30))
+    assert trace.termination == "nonfinite"
+    assert trace.n_iterations == 1 and len(trace.objectives) == 1
+    assert same_bits(obj.pack(model), obj.pack(obj.unpack(obj.pack(gen))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from surfimpute import (
     ConfigError,
-    FitFailureError,
     GridMismatchError,
     MustImputeFirstError,
     NothingToImputeError,
@@ -41,11 +41,12 @@ from surfimpute import (
 from surfimpute import cli
 from surfimpute.cli import main
 from surfimpute.io import POSTERIOR_HEADER, PROFILE_HEADER
-from surfimpute.optimize import OptTrace
 from surfimpute.plotting import masked_runs
 from surfimpute.profile import GRID_REL_TOL
+from surfimpute.synthesis import ChirpConfig, TurnedSimConfig
 
 from oracles import masked_runs as scanned_runs
+from oracles import refuse_the_second_factorization
 
 _SPAN_RE = re.compile(r'<rect class="masked-span" data-x0="([^"]+)" data-x1="([^"]+)"')
 
@@ -593,26 +594,46 @@ def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_cli_fit_failure_dumps_the_trace_it_carries(tmp_path, monkeypatch):
-    trace = OptTrace(objectives=[-3.5, -1.25, 0.1], termination="non-finite objective")
-
-    def failing_fit(profile, model0, config):
-        raise FitFailureError("GSM fit failed: no finite objective", trace=trace)
-
-    monkeypatch.setattr(cli, "fit_gsm", failing_fit)
+@pytest.mark.parametrize("model", ["sm", "gsm"])
+def test_cli_nonfinite_stop_warns_and_writes_the_trace(tmp_path, monkeypatch, model):
+    # the first step of the first run is refused: the fit keeps its start,
+    # and the CLI imputes with it, warns once and writes that run's trace
+    refuse_the_second_factorization(monkeypatch)
     masked, _ = toy_profile()
     src = tmp_path / "masked.csv"
     write_profile_csv(masked, src)
-    out = tmp_path / "gsm.csv"
-    code, stderr = run_main(["impute", "--model", "gsm", "--seed", "1",
-                             "--in", str(src), "--out", str(out)])
-    assert code == 1
-    assert stderr == (f"fit failed; objective trace dumped to {out}.trace.csv\n"
-                      "error: GSM fit failed: no finite objective\n")
-    rows = (tmp_path / "gsm.csv.trace.csv").read_text().splitlines()
+    out = tmp_path / f"{model}.csv"
+    code, stdout, stderr = run_cli(["impute", "--model", model, "--seed", "1", "--q", "2",
+                                    "--n-latent", "6", "--max-iterations", "3",
+                                    "--in", str(src), "--out", str(out)])
+    trace_path = tmp_path / f"{model}.csv.trace.csv"
+    assert code == 0
+    assert stderr == (f"warning: a run of the {model} fit stopped at iteration 1, where its "
+                      "objective is not finite; the fit keeps its best finite iterate "
+                      f"(objective trace: {trace_path})\n")
+    assert f"imputed {masked.n_missing} points" in stdout
+    assert read_profile_csv(out).valid.all()
+    xm = read_posterior_csv(tmp_path / f"{model}.posterior.csv")[0]
+    assert np.array_equal(xm, masked.x[~masked.valid])
+    data = trace_path.read_bytes()
+    assert b"\r" not in data
+    rows = data.decode().splitlines()
     assert rows[0] == "iteration,objective"
-    assert [float(row.split(",")[1]) for row in rows[1:]] == trace.objectives
-    assert not out.exists()
+    assert len(rows) == 2 and rows[1].startswith("0,") and math.isfinite(float(rows[1][2:]))
+
+
+def test_sim_config_fields_parse_to_their_declared_types(tmp_path):
+    for cls in (TurnedSimConfig, ChirpConfig):
+        default = cls()
+        path = tmp_path / f"{cls.__name__}.txt"
+        # every value written as an integer where it is one, so a float
+        # field must convert "2" to 2.0 and an int field keep it an int
+        path.write_text("".join(f"{f.name} = {getattr(default, f.name):g}\n"
+                                for f in fields(cls)))
+        config = cli._load_sim_config(cls, path)
+        assert config == default
+        for f in fields(cls):
+            assert type(getattr(config, f.name)).__name__ == f.type, f.name
 
 
 def test_cli_medfilt_closes_a_long_end_gap(tmp_path):

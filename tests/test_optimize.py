@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfimpute import OptConfig
-from surfimpute.optimize import EPS, maximize, maximize_restarts
+from surfimpute.optimize import EPS, STEP, OptTrace, maximize, maximize_restarts
 
 from oracles import fd_gradient
 
@@ -20,9 +20,14 @@ def bowl(x):
 
 
 def test_maximize_finds_1d_optimum():
-    x, trace = maximize(neg_quadratic_1d, np.array([0.0]),
-                        OptConfig(max_iterations=2000, step=0.05))
-    assert abs(x[0] - 3.0) < 1e-3
+    # neg_quadratic_1d in units of 5 x: Adam's moves do not depend on the
+    # gradient's scale, so a fixed step STEP in x is a step 5 STEP there
+    def fun(x):
+        v, g = neg_quadratic_1d(5.0 * x)
+        return v, 5.0 * g
+
+    x, trace = maximize(fun, np.array([0.0]), OptConfig(max_iterations=2000))
+    assert abs(5.0 * x[0] - 3.0) < 1e-3
     assert trace.termination == "max_iterations"
 
 
@@ -65,7 +70,7 @@ def test_maximize_survives_nonfinite_mid_run():
             return float("-inf"), np.zeros(1)
         return -x[0] ** 2 + 0.0, np.array([-2.0 * x[0] + 4.0])  # pushes right
 
-    x, trace = maximize(fun, np.array([0.0]), OptConfig(max_iterations=300, step=0.2))
+    x, trace = maximize(fun, np.array([0.0]), OptConfig(max_iterations=300))
     assert np.isfinite(max(trace.objectives))
     assert trace.termination == "nonfinite"
 
@@ -75,7 +80,7 @@ def test_flat_objective_keeps_a_fixed_step_to_the_cap():
     # the step never shrinks and the run ends only at the cap
     g = np.array([0.5, -2.0, 1e-3])
     cap = 40
-    cfg = OptConfig(max_iterations=cap, step=0.05)
+    cfg = OptConfig(max_iterations=cap)
     seen = []
 
     def fun(x):
@@ -85,7 +90,7 @@ def test_flat_objective_keeps_a_fixed_step_to_the_cap():
     x, trace = maximize(fun, np.zeros(3), cfg)
     moves = np.diff(np.array(seen), axis=0)
     assert moves.shape == (cap, 3)
-    expected = cfg.step * g / (np.abs(g) + EPS)
+    expected = STEP * g / (np.abs(g) + EPS)
     np.testing.assert_allclose(moves, np.broadcast_to(expected, moves.shape),
                                rtol=1e-12, atol=0.0)
     assert trace.n_iterations == cap
@@ -95,21 +100,25 @@ def test_flat_objective_keeps_a_fixed_step_to_the_cap():
 
 
 def test_trace_csv_round_trip(tmp_path):
+    # LF line ends, as every CSV the package writes, and values that
+    # read back bitwise
     _, trace = maximize(bowl, np.array([1.0, 1.0]), OptConfig(max_iterations=50))
+    values = trace.objectives + [-1.0 / 3.0, -0.0, 5e-324, -1.7976931348623157e308]
     path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective"
-    assert len(lines) == len(trace.objectives) + 1
-    first = float(lines[1].split(",")[1])
-    assert first == trace.objectives[0]
+    OptTrace(objectives=values).write_csv(path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    lines = data.decode().split("\n")
+    assert lines[0] == "iteration,objective" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [int(i) for i, _ in rows] == list(range(len(values)))
+    back = np.array([float(v) for _, v in rows])
+    assert np.array_equal(back.view(np.uint64), np.array(values).view(np.uint64))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OptConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptConfig(step=0.0)
 
 
 def test_fd_gradient_linear():
@@ -123,18 +132,21 @@ def test_fd_gradient_quadratic():
 
 
 def test_quadratic_gradient_norm_small_at_convergence():
+    # each quadratic in units of 2 x, so that the fixed step STEP in x is
+    # a step 2 STEP in the quadratic's own coordinates
     rng = np.random.default_rng(1)
-    cfg = OptConfig(max_iterations=20000, step=0.02)
+    cfg = OptConfig(max_iterations=20000)
     for _ in range(5):
         m = rng.standard_normal((3, 3))
         a = m @ m.T + 0.5 * np.eye(3)
         b = rng.standard_normal(3)
         x_star = np.linalg.solve(a, b)
 
-        def fun(x, a=a, b=b):
-            return -0.5 * x @ a @ x + b @ x, b - a @ x
+        def fun(u, a=a, b=b):
+            x = 2.0 * u
+            return -0.5 * x @ a @ x + b @ x, 2.0 * (b - a @ x)
 
-        x, _ = maximize(fun, np.zeros(3), cfg)
+        x = 2.0 * maximize(fun, np.zeros(3), cfg)[0]
         grad_norm = np.linalg.norm(b - a @ x)
         assert grad_norm < 1e-4 * (1.0 + np.linalg.norm(x_star))
 
