@@ -223,18 +223,22 @@ def rsm(profile: Profile) -> float:
         raise NoProfileElementsError("too few valid points for Rsm")
     m = float(np.mean(zv))
     h = RSM_HYSTERESIS * rq(profile)
-    crossings = []
-    seen_high = seen_low = False
-    for i in range(len(zv) - 1):
-        if zv[i] >= m + h:
-            seen_high = True
-        if zv[i] <= m - h:
-            seen_low = True
-        if zv[i] < m <= zv[i + 1]:
-            if seen_high and seen_low:
-                t = (m - zv[i]) / (zv[i + 1] - zv[i])
-                crossings.append(xv[i] + t * (xv[i + 1] - xv[i]))
-                seen_high = seen_low = False
+    # a crossing at i qualifies when both bands were visited at some
+    # index in (previous qualified crossing, i]; last_high[i] and
+    # last_low[i] are the latest such visits at or before i (-1: none)
+    head = zv[:-1]
+    idx = np.arange(len(head))
+    last_high = np.maximum.accumulate(np.where(head >= m + h, idx, -1))
+    last_low = np.maximum.accumulate(np.where(head <= m - h, idx, -1))
+    qualified = []
+    last = -1
+    for i in np.flatnonzero((head < m) & (m <= zv[1:])).tolist():
+        if last_high[i] > last and last_low[i] > last:
+            qualified.append(i)
+            last = i
+    q = np.array(qualified, dtype=np.intp)
+    t = (m - zv[q]) / (zv[q + 1] - zv[q])
+    crossings = xv[q] + t * (xv[q + 1] - xv[q])
     if len(crossings) < 2:
         raise NoProfileElementsError(
             "fewer than two qualified mean-line crossings"

@@ -3,13 +3,16 @@
 Two virtual measurements: a turned (periodically tooled) surface drawn
 from a periodic-kernel GP, and a deterministic chirp whose wavelength
 steps up after each interval, both with an independent colored-noise
-draw added.  Masks mark points invalid either by watershed dale
-membership (deep features swallow the probe signal) or by local slope
-(steep flanks reflect the beam away).
+draw added.  Each stationary covariance is factored once per kernel
+and grid, and every seed drawn from it reuses that factor.  Masks mark
+points invalid either by watershed dale membership (deep features
+swallow the probe signal) or by local slope (steep flanks reflect the
+beam away).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -64,16 +67,32 @@ class ChirpConfig:
             raise ValueError("bad noise parameters")
 
 
+@functools.lru_cache(maxsize=2)
+def _toeplitz_factor(kernel, n: int, dx: float) -> np.ndarray:
+    """Read-only lower Cholesky factor of a stationary kernel's Toeplitz
+    covariance on n points spaced dx (the origin never enters a lag).
+
+    Memoized on (kernel, n, dx), so the seeds of one configuration share
+    one factorization.  The two most recent factors stay alive, 8 n^2
+    bytes each: a turned configuration keeps both (its periodic texture
+    and its coloured noise), 1.4 MB at n = 300 and 64 MB at the default
+    n = 2000; the default 5000-point chirp keeps one, 200 MB.
+    """
+    table = kernels.value_on_lags(kernel, np.arange(n, dtype=float) * dx)
+    fac, _ = chol_jittered(scipy.linalg.toeplitz(table))
+    fac.setflags(write=False)
+    return fac
+
+
 def _toeplitz_draw(kernel, grid: Grid1D, rng) -> np.ndarray:
     """One zero-mean draw of a stationary kernel on a uniform grid."""
-    table = kernels.value_on_lags(kernel, np.arange(grid.n, dtype=float) * grid.dx)
-    fac, _ = chol_jittered(scipy.linalg.toeplitz(table))
-    return fac @ rng.standard_normal(grid.n)
+    return _toeplitz_factor(kernel, grid.n, grid.dx) @ rng.standard_normal(grid.n)
 
 
 def simulate_turned(config: TurnedSimConfig, seed: int) -> Profile:
     """Seeded turned-surface measurement: periodic GP draw plus an
-    independent colored-noise draw (one draw from the summed kernel)."""
+    independent colored-noise draw (one draw from the summed kernel).
+    Seeds of one configuration share both factors (_toeplitz_factor)."""
     grid = make_grid(config.x0, config.dx, config.n)
     rng = np.random.default_rng(seed)
     z = _toeplitz_draw(
@@ -109,7 +128,8 @@ def chirp_wavelength_at(config: ChirpConfig, x) -> np.ndarray:
 
 def simulate_chirp(config: ChirpConfig, seed: int) -> Profile:
     """Seeded chirp measurement: (a/2) cos(2 pi x / lambda(x)) plus an
-    independent colored-noise draw."""
+    independent colored-noise draw.  Seeds of one configuration share
+    the noise factor (_toeplitz_factor)."""
     grid = make_grid(config.x0, config.dx, config.n)
     x = grid.points()
     z = 0.5 * config.amplitude * np.cos(2.0 * np.pi * x / chirp_wavelength_at(config, x))

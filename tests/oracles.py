@@ -3,18 +3,22 @@
 Each one is the plain, slow form of something the library computes a
 faster way: scalar kernels, the dense marginal likelihood and its
 gradient, the noise-free posterior, the GSM log posterior, central
-finite differences and the per-point scan for masked runs.  No library code calls them; they live here, not
-in ``surfimpute``, with one fault injector that several test modules
-share.  pytest does not collect this module (its name does
-not start with ``test_``); test modules import it by name, as their
-own directory is on the import path.
+finite differences, the per-point scans for masked runs and for Rsm's
+mean-line crossings, and the simulators' draw that factors its
+covariance every time.  No library code calls them; they live here,
+not in ``surfimpute``, with one fault injector that several test
+modules share.  pytest does not collect this module (its name does not
+start with ``test_``); test modules import it by name, as their own
+directory is on the import path.
 """
 
 import numpy as np
+import scipy.linalg
 
 from surfimpute import gp
-from surfimpute.errors import NotPositiveDefiniteError
+from surfimpute.errors import NoProfileElementsError, NotPositiveDefiniteError
 from surfimpute.kernels import TWO_PI, build_cov, n_params, terms_on_lags, value_on_lags
+from surfimpute.profile import RSM_HYSTERESIS, rq
 
 # ---------------------------------------------------------------------------
 # scalar kernels
@@ -163,6 +167,47 @@ def masked_runs(valid):
     if inside:
         runs.append((start, len(valid)))
     return runs
+
+
+# ---------------------------------------------------------------------------
+# Rsm
+
+
+def rsm(profile):
+    """``profile.rsm`` by one pass over the valid samples."""
+    xv = profile.valid_x()
+    zv = profile.valid_z()
+    if len(zv) < 2:
+        raise NoProfileElementsError("too few valid points for Rsm")
+    m = float(np.mean(zv))
+    h = RSM_HYSTERESIS * rq(profile)
+    crossings = []
+    seen_high = seen_low = False
+    for i in range(len(zv) - 1):
+        if zv[i] >= m + h:
+            seen_high = True
+        if zv[i] <= m - h:
+            seen_low = True
+        if zv[i] < m <= zv[i + 1]:
+            if seen_high and seen_low:
+                t = (m - zv[i]) / (zv[i + 1] - zv[i])
+                crossings.append(xv[i] + t * (xv[i + 1] - xv[i]))
+                seen_high = seen_low = False
+    if len(crossings) < 2:
+        raise NoProfileElementsError("fewer than two qualified mean-line crossings")
+    return float(np.mean(np.diff(crossings)))
+
+
+# ---------------------------------------------------------------------------
+# simulator draws
+
+
+def toeplitz_draw(kernel, grid, rng):
+    """``synthesis._toeplitz_draw`` with the Toeplitz covariance built
+    and factored afresh on every call."""
+    table = value_on_lags(kernel, np.arange(grid.n, dtype=float) * grid.dx)
+    fac, _ = gp.chol_jittered(scipy.linalg.toeplitz(table))
+    return fac @ rng.standard_normal(grid.n)
 
 
 # ---------------------------------------------------------------------------

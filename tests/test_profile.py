@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from surfimpute import (
     EmptyDatasetError,
     Grid1D,
     NoProfileElementsError,
     Profile,
+    TurnedSimConfig,
     make_grid,
     profile_from_arrays,
     rq,
     rsm,
+    simulate_turned,
 )
 from surfimpute.profile import split_dataset
 
@@ -257,3 +262,49 @@ def test_rsm_too_few_crossings():
     p = Profile(make_grid(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8), None)
     with pytest.raises(NoProfileElementsError):
         rsm(p)
+
+
+def bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+@st.composite
+def masked_profiles(draw):
+    n = draw(st.integers(1, 80))
+    # small integers put samples on the mean line and on the band edges;
+    # a sampled cosine plus floats crosses the mean line many times
+    heights = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3)
+    noise = np.array(draw(st.lists(heights, min_size=n, max_size=n)))
+    carrier = draw(st.sampled_from([0.0, 1.0, 50.0])) * np.cos(np.arange(n) * 0.9)
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n) | st.just([True] * n))
+    x0 = draw(st.sampled_from([0.0, -3.25, 1e3]))
+    dx = draw(st.sampled_from([1e-4, 0.01, 1.0]))
+    return Profile(make_grid(x0, dx, n), carrier + noise, valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=masked_profiles())
+def test_rsm_is_bitwise_the_per_point_loop(p):
+    try:
+        want = oracles.rsm(p)
+    except NoProfileElementsError:
+        with pytest.raises(NoProfileElementsError):
+            rsm(p)
+        return
+    assert bits(rsm(p)) == bits(want)
+
+
+def test_rsm_is_bitwise_the_per_point_loop_on_a_masked_turned_draw():
+    p = simulate_turned(TurnedSimConfig(n=2000), 1)
+    valid = np.ones(p.n, dtype=bool)
+    valid[300:420] = valid[1500:1530] = False
+    for q in (p, p.with_mask(valid)):
+        assert bits(rsm(q)) == bits(oracles.rsm(q))
+
+
+def test_rsm_counts_a_sample_on_a_band_edge_as_a_visit():
+    # mean -1 and Rq 10, so the upper band edge is 0.0, where the first
+    # sample sits: without that visit only one crossing would qualify
+    z = [0.0, -2.0, -1.0, 20.0, -10.0, -20.0, 2.0, 1.0, 10.0, -1.0, -10.0]
+    p = Profile(make_grid(0.0, 1.0, len(z)), z, None)
+    assert bits(rsm(p)) == bits(oracles.rsm(p))

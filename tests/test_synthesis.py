@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import toeplitz_draw
 from surfimpute import (
     ChirpConfig,
     EmptyDatasetError,
@@ -21,7 +22,9 @@ from surfimpute import (
     mask_smallest_width_dales,
     simulate_chirp,
     simulate_turned,
+    synthesis,
 )
+from surfimpute.kernels import PeriodicParams
 from surfimpute.synthesis import (
     Dale,
     _interior_extrema,
@@ -178,6 +181,78 @@ def test_chirp_config_validation():
         ChirpConfig(amplitude=0.0)
     with pytest.raises(ValueError):
         ChirpConfig(k_max=0)
+
+
+# ---------------------------------------------------------------------------
+# one factorization per configuration
+
+
+SIM_CASES = [
+    (simulate_turned, TurnedSimConfig(n=300)),
+    (simulate_turned, TurnedSimConfig(n=300, noise_sigma2=0.0)),
+    (simulate_turned, TurnedSimConfig(n=257, dx=3e-3)),
+    (simulate_turned, TurnedSimConfig(n=300, x0=1.75)),
+    (simulate_chirp, ChirpConfig(n=300, dx=1e-4)),
+    (simulate_chirp, ChirpConfig(n=420, dx=2.5e-5)),
+    (simulate_chirp, ChirpConfig(n=300, dx=1e-4, x0=0.5)),
+]
+
+
+@pytest.mark.parametrize("simulate, cfg", SIM_CASES)
+def test_draws_are_bitwise_the_factor_on_every_draw(simulate, cfg, monkeypatch):
+    seeds = (0, 1, 17, 5003)
+    got = [simulate(cfg, s).z for s in seeds]
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "_toeplitz_draw", toeplitz_draw)
+        want = [simulate(cfg, s).z for s in seeds]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def counted_factorizations(monkeypatch):
+    calls = []
+    real = synthesis.chol_jittered
+
+    def chol(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(synthesis, "chol_jittered", chol)
+    synthesis._toeplitz_factor.cache_clear()
+    return calls
+
+
+def test_seeds_of_one_turned_config_share_two_factorizations(monkeypatch):
+    calls = counted_factorizations(monkeypatch)
+    for seed in range(10):
+        simulate_turned(TurnedSimConfig(n=300), seed)
+    assert calls == [300, 300]
+
+
+def test_the_origin_never_enters_the_factor(monkeypatch):
+    calls = counted_factorizations(monkeypatch)
+    simulate_turned(TurnedSimConfig(n=300), 1)
+    simulate_turned(TurnedSimConfig(n=300, x0=1.75), 2)
+    simulate_chirp(ChirpConfig(n=300, dx=1e-4), 1)
+    simulate_chirp(ChirpConfig(n=300, dx=1e-4, x0=0.5), 2)
+    assert calls == [300, 300, 300]
+
+
+def test_a_changed_grid_or_kernel_factors_again(monkeypatch):
+    calls = counted_factorizations(monkeypatch)
+    for cfg in (TurnedSimConfig(n=200), TurnedSimConfig(n=201),
+                TurnedSimConfig(n=200, dx=3e-3), TurnedSimConfig(n=200, period=0.11)):
+        simulate_turned(cfg, 1)
+    # each config is new in n, dx or period to a memo of two entries
+    assert calls == [200, 200, 201, 201, 200, 200, 200, 200]
+
+
+def test_the_shared_factor_is_read_only():
+    fac = synthesis._toeplitz_factor(PeriodicParams(10.0, 0.8, 0.1), 50, 2e-3)
+    assert not fac.flags.writeable
+    with pytest.raises(ValueError):
+        fac[0, 0] = 1.0
+    assert synthesis._toeplitz_factor(PeriodicParams(10.0, 0.8, 0.1), 50, 2e-3) is fac
 
 
 # ---------------------------------------------------------------------------
