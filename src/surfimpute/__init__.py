@@ -24,7 +24,7 @@ from .errors import (
 from .profile import Grid1D, Profile, make_grid, profile_from_arrays, rq, rsm
 from .optimize import OptConfig
 from .gp import GPModel, ImputationResult, fit_se, fit_sm, impute
-from .gsm import GsmModel, fit_gsm, load_gsm, make_gsm_model, save_gsm
+from .gsm import GsmModel, fit_gsm, make_gsm_model
 from .baselines import (
     impute_constant,
     impute_idw,
@@ -99,11 +99,9 @@ __all__ = [
     "render_svg",
     "write_svg",
     # files
-    "load_gsm",
     "parse_config",
     "read_posterior_csv",
     "read_profile_csv",
-    "save_gsm",
     "write_posterior_csv",
     "write_profile_csv",
 ]

@@ -27,7 +27,7 @@ from .errors import ConfigError, GridMismatchError, SurfImputeError
 from .evaluate import evaluate
 from .experiments import run_chirp_experiment, run_turned_experiment
 from .gp import fit_se, fit_sm, impute
-from .gsm import fit_gsm, make_gsm_model, save_gsm
+from .gsm import fit_gsm, make_gsm_model
 from .io import (
     parse_config,
     read_posterior_csv,
@@ -115,8 +115,10 @@ def _default_posterior_path(out: str) -> str:
 
 
 def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
-    if args.save_model is not None and args.model != "gsm":
-        parser.error("--save-model is only available for model 'gsm'")
+    if args.init_rsm is not None and args.model != "sm":
+        parser.error("--init-rsm is only read by model 'sm'")
+    if args.init_rq is not None and args.model not in ("sm", "gsm"):
+        parser.error("--init-rq is only read by models 'sm' and 'gsm'")
     profile = read_profile_csv(args.infile)
     if args.model in BASELINE_MODELS:
         with _flag_values(parser):
@@ -169,8 +171,6 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
     posterior_path = args.posterior or _default_posterior_path(args.out)
     write_posterior_csv(result.xm, result.post_mean, result.lo95,
                         result.hi95, posterior_path)
-    if args.save_model is not None:
-        save_gsm(model, args.save_model)
     print(f"imputed {len(result.xm)} points to {args.out}")
     print(f"posterior written to {posterior_path}")
     return 0
@@ -270,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posterior",
                    help="posterior CSV path (GP models; default <out>.posterior.csv)")
     p.add_argument("--init-rsm", type=float, default=None,
-                   help="feature-spacing prior (mm), default Rsm of the data")
+                   help="sm: feature-spacing prior (mm), default Rsm of the data")
     p.add_argument("--init-rq", type=float, default=None,
-                   help="amplitude prior (um), default Rq of the data")
+                   help="sm, gsm: amplitude prior (um), default Rq of the data")
     p.add_argument("--q", type=int, default=5, help="sm: mixture components")
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--restarts", type=int, default=3, help="sm: fit restarts")
@@ -282,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gsm: expected wavelength at the left edge (mm)")
     p.add_argument("--wavelength-right", type=float, default=None,
                    help="gsm: expected wavelength at the right edge (mm)")
-    p.add_argument("--save-model", default=None,
-                   help="gsm: also write the fitted model (key=value text)")
     p.add_argument("--window", type=int, default=5,
                    help="medfilt: odd window size")
     p.add_argument("--power", type=float, default=2.0, help="idw exponent")

@@ -21,7 +21,7 @@ from .baselines import (
 )
 from .evaluate import evaluate
 from .gp import fit_sm, impute
-from .gsm import fit_gsm, latent_eval, make_gsm_model, save_gsm
+from .gsm import fit_gsm, latent_eval, make_gsm_model
 from .io import write_posterior_csv, write_profile_csv
 from .optimize import OptConfig
 from .plotting import write_svg
@@ -156,8 +156,5 @@ def run_chirp_experiment(seed: int, dx: float = 1e-4, n: int = 1250,
         "freq_within_25pct": freq_ok,
         "fit_iterations": trace.n_iterations,
     }
-    metrics = _scored(f"chirp_seed{seed}", "gsm", truth, masked, result,
-                      metrics, outdir)
-    if outdir is not None:
-        save_gsm(model, os.path.join(outdir, f"chirp_seed{seed}_model.txt"))
-    return metrics
+    return _scored(f"chirp_seed{seed}", "gsm", truth, masked, result, metrics,
+                   outdir)

@@ -7,9 +7,10 @@ SE-prior GP held by whitened coordinates v at evenly spaced locations:
 its values there are mean + L v, with L the factor of its prior.  A
 model stores v, and fitting maximizes the posterior of (v, noise,
 latent variances), so the optimizer works in approximately isotropic
-coordinates and a model is the optimizer's own state: bitwise in v, and
-within an ulp in the four log-variance coordinates, since a model keeps
-each variance and log(exp(r)) is not always r.
+coordinates and a model is the optimizer's own state.  Its one round
+trip is pack(unpack(x)): bitwise in v, and within an ulp in the four
+log-variance coordinates, since a model keeps each variance and
+log(exp(r)) is not always r.
 
 Each latent keeps the SE lengthscale of the starting model, its
 prior-knowledge value, so its map from whitened coordinates to the
@@ -28,15 +29,9 @@ import scipy.linalg
 from scipy.linalg import blas
 from scipy.special import expit
 
-from .errors import (
-    ConfigError,
-    FitFailureError,
-    NoProfileElementsError,
-    NotPositiveDefiniteError,
-)
+from .errors import FitFailureError, NoProfileElementsError, NotPositiveDefiniteError
 from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _height_variance, _inverse_lower
 from .gp import _rejecting_failures, chol_jittered, estimate_noise_variance
-from .io import _fmt, parse_config
 from .kernels import (
     TWO_PI,
     NoiseParams,
@@ -177,8 +172,9 @@ class _GsmObjective:
     (flat in everything else).
 
     The vector is a model's own state: pack and unpack only slice, log
-    and exponentiate, so pack(unpack(x)) returns the four log-variance
-    coordinates within an ulp, not bitwise.  Every latent keeps model0's SE lengthscale, so
+    and exponentiate, so pack(unpack(x)), the only round trip a model
+    makes, returns the four log-variance coordinates within an ulp, not
+    bitwise.  Every latent keeps model0's SE lengthscale, so
     the latent at the data abscissas is u_h = mean_h + sqrt(sigma_h^2)
     B_h v_h with the constant map B_h = K_xL L^-T of the unit-variance
     prior (``_latent_map``), built once.  No latent prior is factored or
@@ -416,70 +412,3 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
         f=LatentFunctionSpec(x_l, v_f, mean_f, se, "logit", scale=f_nyq),
         noise_sigma2=float(sigma_n2),
     )
-
-
-# ---------------------------------------------------------------------------
-# model persistence (flat key = value text)
-
-
-# each latent's keys in a model file, in the order save_gsm writes them
-_LATENT_KEYS = ("transform", "scale", "mean", "sigma2", "theta", "x", "v")
-
-
-def _fmt_list(a) -> str:
-    return ",".join(_fmt(v) for v in np.asarray(a, dtype=float))
-
-
-def save_gsm(model: GsmModel, path) -> None:
-    """Write the model as flat key = value text (17 significant digits,
-    so a load rebuilds the model, and so its covariance, bitwise)."""
-    lines = ["format = gsm-model-v2", f"noise_sigma2 = {_fmt(model.noise_sigma2)}"]
-    for name, spec in (("w", model.w), ("lambda", model.lam), ("f", model.f)):
-        values = (spec.transform, _fmt(spec.scale), _fmt(spec.mean), _fmt(spec.se.sigma2),
-                  _fmt(spec.se.theta), _fmt_list(spec.x_l), _fmt_list(spec.v))
-        lines += [f"latent_{name}.{key} = {value}" for key, value in zip(_LATENT_KEYS, values)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _floats(s: str) -> np.ndarray:
-    return np.array([float(v) for v in s.split(",")])
-
-
-def _transform(s: str) -> str:
-    if s not in _TRANSFORMS:
-        raise ValueError(f"unknown transform {s!r}")
-    return s
-
-
-_GSM_SCHEMA = {"format": str, "noise_sigma2": float} | {
-    f"latent_{name}.{key}": convert
-    for name in ("w", "lambda", "f")
-    for key, convert in zip(_LATENT_KEYS, (_transform, float, float, float, float,
-                                           _floats, _floats))
-}
-
-
-def load_gsm(path) -> GsmModel:
-    entries = parse_config(path, _GSM_SCHEMA)
-    for key in _GSM_SCHEMA:
-        if key not in entries:
-            raise ConfigError(f"missing key {key!r}")
-    if entries["format"] != "gsm-model-v2":
-        raise ConfigError(f"unsupported format {entries['format']!r}")
-
-    def latent(name):
-        def e(key):
-            return entries[f"latent_{name}.{key}"]
-        try:
-            return LatentFunctionSpec(e("x"), e("v"), e("mean"),
-                                      SEParams(e("sigma2"), e("theta")),
-                                      e("transform"), e("scale"))
-        except ValueError as exc:
-            raise ConfigError(f"latent_{name}: {exc}") from exc
-
-    try:
-        return GsmModel(w=latent("w"), lam=latent("lambda"), f=latent("f"),
-                        noise_sigma2=entries["noise_sigma2"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

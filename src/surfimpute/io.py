@@ -164,8 +164,6 @@ def parse_config(path, schema: dict) -> dict:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         try:
             out[key] = schema[key](value)
-        except ConfigError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}",
                               line=lineno) from exc

@@ -20,7 +20,7 @@ def test_outdir_holds_every_file_twice_the_same_and_the_returned_metrics(tmp_pat
     first = run(**settings, outdir=str(tmp_path / "first"))
     second = run(**settings, outdir=str(tmp_path / "second"))
     assert first == second
-    expected = {tag + s for s in SUFFIXES | ({"_model.txt"} if name == "chirp" else set())}
+    expected = {tag + s for s in SUFFIXES}
     assert {p.name for p in (tmp_path / "first").iterdir()} == expected
     for file in expected:
         assert (tmp_path / "first" / file).read_bytes() == \

@@ -1,6 +1,6 @@
 """Latent-GP layer of the non-stationary model: latent interpolation
 from whitened coordinates, covariance assembly, MAP objective, fitting,
-and model round trips."""
+and the pack/unpack round trip."""
 
 import math
 from dataclasses import replace
@@ -14,7 +14,6 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from surfimpute import (
-    ConfigError,
     FitFailureError,
     GsmModel,
     NotPositiveDefiniteError,
@@ -22,10 +21,8 @@ from surfimpute import (
     Profile,
     fit_gsm,
     impute,
-    load_gsm,
     make_gsm_model,
     make_grid,
-    save_gsm,
 )
 from surfimpute import gsm
 from surfimpute.gp import _centered_dataset, _gaussian_core, _inverse_lower, chol_jittered
@@ -590,10 +587,29 @@ def gsm_draw_profile(model, n, seed):
 def test_fit_gsm_ascent_from_generating_parameters():
     gen = small_model(p=4, seed=17, noise=0.05)
     profile = gsm_draw_profile(gen, 36, seed=18)
-    model, trace = fit_gsm(profile, gen, OptConfig(max_iterations=40))
+    config = OptConfig(max_iterations=40)
+    model, trace = fit_gsm(profile, gen, config)
     assert max(trace.objectives) >= trace.objectives[0] - 1e-9
     assert np.all(np.isfinite(latent_eval(model.w, profile.x)))
     assert model.noise_sigma2 > 0
+
+    # the fitted model is the optimizer's best vector: v bitwise, the four
+    # variances within an ulp of their logs (exp then log returns most
+    # but not all doubles), and it imputes bitwise as that vector does
+    obj = _GsmObjective(gen, _centered_dataset(profile)[0])
+    best_x, _ = maximize(obj, obj.pack(gen), config)
+    got = obj.pack(model)
+    p = gen.w.n
+    assert same_bits(got[: 3 * p], best_x[: 3 * p])
+    assert np.max(np.abs(got - best_x)) <= 1e-15
+    valid = np.ones(36, dtype=bool)
+    valid[15:21] = False
+    masked = Profile(profile.grid, np.where(valid, profile.z, np.nan), valid)
+    for seed in (1, 2):
+        a, b = impute(masked, model, seed), impute(masked, obj.unpack(best_x), seed)
+        for field in ("post_mean", "lo95", "hi95"):
+            assert same_bits(getattr(a, field), getattr(b, field))
+        assert same_bits(a.profile.z, b.profile.z)
 
 
 def test_fit_gsm_keeps_every_latent_lengthscale():
@@ -631,99 +647,7 @@ def test_fit_gsm_stops_at_a_nonfinite_objective_with_its_best_iterate(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# persistence and the prior-knowledge factory
-
-
-def test_save_load_round_trip(tmp_path):
-    model = small_model(p=5, seed=23, noise=0.03)
-    path = tmp_path / "model.txt"
-    save_gsm(model, path)
-    back = load_gsm(path)
-    xs = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(back.cov_matrix(xs), model.cov_matrix(xs))
-    assert back.noise_sigma2 == model.noise_sigma2
-    assert back.f.scale == model.f.scale
-
-
-def test_a_saved_fit_reloads_to_its_optimizer_state(tmp_path):
-    # a model is the fit's own state: packing a saved and reloaded fit
-    # gives back the optimizer's best vector, and imputing from it gives
-    # the in-memory model's fill
-    gen = small_model(p=4, seed=17, noise=0.05)
-    full = gsm_draw_profile(gen, 36, seed=18)
-    valid = np.ones(36, dtype=bool)
-    valid[15:21] = False
-    profile = Profile(full.grid, np.where(valid, full.z, np.nan), valid)
-    config = OptConfig(max_iterations=20)
-    model, _ = fit_gsm(profile, gen, config)
-    obj = _GsmObjective(gen, _centered_dataset(profile)[0])
-    best_x, _ = maximize(obj, obj.pack(gen), config)
-    path = tmp_path / "model.txt"
-    save_gsm(model, path)
-    back = load_gsm(path)
-    got = obj.pack(back)
-    # the whitened coordinates are stored as they are; the four variances
-    # pass through exp and log, which return most but not all doubles
-    p = gen.w.n
-    assert same_bits(got[: 3 * p], best_x[: 3 * p])
-    assert same_bits(got, obj.pack(model))
-    assert np.max(np.abs(got - best_x)) <= 1e-15
-    for seed in (1, 2):
-        a, b = impute(profile, back, seed), impute(profile, model, seed)
-        for field in ("post_mean", "lo95", "hi95"):
-            assert same_bits(getattr(a, field), getattr(b, field))
-        assert same_bits(a.profile.z, b.profile.z)
-
-
-def test_load_gsm_errors(tmp_path):
-    model = small_model(p=3, seed=24)
-    good = tmp_path / "good.txt"
-    save_gsm(model, good)
-    lines = good.read_text().splitlines()
-
-    def write(name, text):
-        p = tmp_path / name
-        p.write_text(text + "\n")
-        return p
-
-    with pytest.raises(ConfigError):
-        load_gsm(write("fmt.txt", "\n".join(
-            ["format = gsm-model-v1"] + lines[1:])))
-    with pytest.raises(ConfigError) as err:
-        load_gsm(write("dup.txt", "\n".join(lines + [lines[1]])))
-    assert err.value.line == len(lines) + 1
-    with pytest.raises(ConfigError):
-        load_gsm(write("missing.txt", "\n".join(
-            [l for l in lines if not l.startswith("noise_sigma2")])))
-    with pytest.raises(ConfigError):
-        load_gsm(write("unknown.txt", "\n".join(lines + ["extra = 1"])))
-    with pytest.raises(ConfigError) as err:
-        load_gsm(write("garbage.txt", "\n".join(lines + ["no separator"])))
-    assert err.value.line == len(lines) + 1
-
-    # a malformed value, scalar or list element, names its line
-    for key, value in (("latent_w.sigma2", "abc"), ("latent_f.x", "0,,1")):
-        at = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
-        bad = lines[:at] + [f"{key} = {value}"] + lines[at + 1:]
-        with pytest.raises(ConfigError) as err:
-            load_gsm(write("value.txt", "\n".join(bad)))
-        assert err.value.line == at + 1
-
-    # values that parse but describe no valid latent: an unknown
-    # transform names its line, the rest name the latent
-    def replaced(key, value):
-        return "\n".join(f"{key} = {value}" if l.startswith(key + " ") else l
-                         for l in lines)
-
-    at = next(i for i, l in enumerate(lines)
-              if l.startswith("latent_w.transform "))
-    with pytest.raises(ConfigError) as err:
-        load_gsm(write("affine.txt", replaced("latent_w.transform", "affine")))
-    assert err.value.line == at + 1
-    with pytest.raises(ConfigError, match="latent_w"):
-        load_gsm(write("order.txt", replaced("latent_w.x", "0,1,0.5")))
-    with pytest.raises(ConfigError, match="latent_w"):
-        load_gsm(write("v.txt", replaced("latent_w.v", "0,1")))
+# the prior-knowledge factory
 
 
 def test_make_gsm_model_structure():
@@ -771,33 +695,3 @@ def test_make_gsm_model_rejects_a_wavelength_whose_frequency_is_not_finite(side,
     profile = Profile(g, np.sin(g.points()), None)
     with pytest.raises(ValueError, match="finite"):
         make_gsm_model(profile, **{side: wavelength})
-
-
-_finite = st.floats(-1e6, 1e6, allow_nan=False)
-_positive = st.floats(1e-6, 1e6, allow_nan=False)
-
-
-@st.composite
-def gsm_models(draw):
-    p = draw(st.integers(1, 4))
-    x_l = np.cumsum(draw(st.lists(_positive, min_size=p, max_size=p)))
-
-    def spec(transform, scale=1.0):
-        v = draw(st.lists(_finite, min_size=p, max_size=p))
-        return LatentFunctionSpec(x_l, v, draw(_finite),
-                                  SEParams(draw(_positive), draw(_positive)),
-                                  transform, scale)
-
-    return GsmModel(w=spec("log"), lam=spec("log"),
-                    f=spec("logit", draw(_positive)),
-                    noise_sigma2=draw(_positive))
-
-
-@settings(max_examples=40, deadline=None)
-@given(model=gsm_models())
-def test_save_load_save_is_byte_identical(model, tmp_path_factory):
-    path = tmp_path_factory.mktemp("gsm") / "model.txt"
-    save_gsm(model, path)
-    first = path.read_bytes()
-    save_gsm(load_gsm(path), path)
-    assert path.read_bytes() == first

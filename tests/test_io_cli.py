@@ -26,7 +26,6 @@ from surfimpute import (
     Profile,
     evaluate,
     impute_constant,
-    load_gsm,
     make_grid,
     parse_config,
     profile_from_arrays,
@@ -535,17 +534,16 @@ def test_cli_impute_gsm_saves_model(tmp_path):
     write_profile_csv(profile_from_arrays(x, zm, valid), src)
 
     out = tmp_path / "gsm.csv"
-    model_path = tmp_path / "model.txt"
     code, stdout, _ = run_cli([
         "impute", "--model", "gsm", "--seed", "4", "--n-latent", "6",
         "--max-iterations", "8", "--wavelength-left", "0.2",
-        "--wavelength-right", "0.2", "--save-model", str(model_path),
-        "--in", str(src), "--out", str(out),
+        "--wavelength-right", "0.2", "--in", str(src), "--out", str(out),
     ])
     assert code == 0 and "imputed 4 points" in stdout
     assert read_profile_csv(out).valid.all()
-    model = load_gsm(model_path)
-    assert model.f.n == 6 and model.noise_sigma2 > 0
+    # the filled profile and its posterior are the only outputs
+    assert {p.name for p in tmp_path.iterdir()} == {"masked.csv", "gsm.csv",
+                                                     "gsm.posterior.csv"}
 
 
 def test_cli_impute_usage_errors(tmp_path):
@@ -569,12 +567,15 @@ def test_cli_impute_usage_errors(tmp_path):
     ])
     assert code == 1 and "error:" in stderr
 
-    # only a GSM fit can be saved: refused before any fit or output
-    assert cli_usage_error([
-        "impute", "--model", "se", "--seed", "1", "--save-model",
-        str(tmp_path / "m.txt"), "--in", str(src), "--out", str(out),
-    ]) == 2
-    assert not out.exists() and not (tmp_path / "out.posterior.csv").exists()
+    # a prior flag the model does not read is refused before any file is
+    # read (the input is absent) or written
+    for model, flag, value in (("gsm", "--init-rsm", "0.1"), ("se", "--init-rsm", "0.1"),
+                               ("se", "--init-rq", "1"), ("mean", "--init-rq", "1")):
+        assert cli_usage_error([
+            "impute", "--model", model, "--seed", "1", flag, value,
+            "--in", str(tmp_path / "absent.csv"), "--out", str(out),
+        ]) == 2, (model, flag)
+    assert {p.name for p in tmp_path.iterdir()} == {"masked.csv"}
 
 
 def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
