@@ -46,8 +46,45 @@ from .synthesis import (
     simulate_turned,
 )
 
+
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy's generators refuse a negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 GP_MODELS = ("sm", "gsm", "se")
-BASELINE_MODELS = ("mean", "median", "nn", "medfilt", "idw")
+BASELINES = {"nn": impute_nn_mean, "medfilt": impute_median_filter, "idw": impute_idw}
+_GP_RUN = ("--seed", "--posterior", "--max-iterations")
+# The flags each variant reads.  None has a CLI default: one outside the
+# chosen variant's row is a usage error, one left out takes the library's.
+READS = {
+    "sm": _GP_RUN + ("--q", "--restarts", "--init-rsm", "--init-rq"),
+    "gsm": _GP_RUN + ("--n-latent", "--init-rq", "--wavelength-left", "--wavelength-right"),
+    "se": _GP_RUN, "mean": (), "median": (), "nn": (),
+    "medfilt": ("--window",), "idw": ("--power", "--radius"),
+    "dales": ("--count", "--volume-threshold"), "gradient": ("--threshold",),
+}
+REQUIRED = ("--seed", "--threshold")  # wherever a row holds them
+FLAGS = {
+    "--seed": dict(type=_seed, help="required: seeds sm's restarts and the imputation draw"),
+    "--posterior": dict(help="posterior CSV path, default <out>.posterior.csv"),
+    "--max-iterations": dict(type=int, help="iteration cap of each fit run"),
+    "--q": dict(type=int, help="mixture components"),
+    "--restarts": dict(type=int, dest="n_restarts", metavar="RESTARTS", help="fit restarts"),
+    "--init-rsm": dict(type=float, help="feature-spacing prior (mm), default Rsm of the data"),
+    "--init-rq": dict(type=float, help="amplitude prior (um), default Rq of the data"),
+    "--n-latent": dict(type=int, help="latent representatives"),
+    "--wavelength-left": dict(type=float, help="expected wavelength at the left edge (mm)"),
+    "--wavelength-right": dict(type=float, help="expected wavelength at the right edge (mm)"),
+    "--window": dict(type=int, help="odd window size"),
+    "--power": dict(type=float, help="distance exponent"),
+    "--radius": dict(type=float, help="support radius (mm), default 10*dx"),
+    "--count": dict(type=int, help="how many smallest-width dales to mask, default 5"),
+    "--volume-threshold": dict(type=float, help="merge dales below this volume (um*mm)"),
+    "--threshold": dict(type=float, help="required: absolute slope limit (um/mm)"),
+}
 
 
 def _config_schema(cls):
@@ -65,13 +102,6 @@ def _load_sim_config(cls, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _seed(text: str) -> int:
-    """The type of every --seed: numpy's generators refuse a negative seed."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
 @contextlib.contextmanager
 def _flag_values(parser: argparse.ArgumentParser):
     """Report a flag value the library rejects as a usage error (exit
@@ -80,6 +110,29 @@ def _flag_values(parser: argparse.ArgumentParser):
         yield
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _add_variants(p: argparse.ArgumentParser, selector: str, variants) -> None:
+    """Add ``selector``, which picks one of ``variants``, and the flags that
+    those variants read, each with no default and a help naming its readers."""
+    p.add_argument(selector, choices=variants, required=True)
+    flag_of = {}
+    for flag in dict.fromkeys(f for v in variants for f in READS[v]):
+        readers = ", ".join(v for v in variants if flag in READS[v])
+        kwargs = {**FLAGS[flag], "help": f"{readers}: {FLAGS[flag]['help']}"}
+        flag_of[p.add_argument(flag, default=argparse.SUPPRESS, **kwargs).dest] = flag
+    p.set_defaults(flag_of=flag_of)
+
+
+def _given_flags(args, parser: argparse.ArgumentParser, selector: str, variant: str) -> dict:
+    """The variant-specific flags typed, by the library parameter each sets."""
+    typed = {flag: dest for dest, flag in args.flag_of.items() if hasattr(args, dest)}
+    for flag in dict.fromkeys([*typed, *READS[variant]]):
+        if flag not in READS[variant]:
+            parser.error(f"{flag} is not read by {selector} {variant}")
+        if flag in REQUIRED and flag not in typed:
+            parser.error(f"{flag} is required for {selector} {variant}")
+    return {dest: getattr(args, dest) for dest in typed.values()}
 
 
 def cmd_simulate(args) -> int:
@@ -95,68 +148,44 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mask(args, parser: argparse.ArgumentParser) -> int:
-    if args.method == "gradient" and args.threshold is None:
-        parser.error("--threshold is required for --method gradient")
+    given = _given_flags(args, parser, "--method", args.method)
     profile = read_profile_csv(args.infile)
     with _flag_values(parser):
         if args.method == "dales":
-            masked = mask_smallest_width_dales(profile, args.count,
-                                               args.volume_threshold)
+            masked = mask_smallest_width_dales(profile, given.pop("count", 5), **given)
         else:
-            masked = mask_gradient(profile, args.threshold)
+            masked = mask_gradient(profile, **given)
     write_profile_csv(masked, args.out)
     print(f"masked = {masked.n_missing}")
     return 0
 
 
-def _default_posterior_path(out: str) -> str:
-    base, ext = os.path.splitext(out)
-    return f"{base}.posterior{ext or '.csv'}"
-
-
 def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
-    if args.init_rsm is not None and args.model != "sm":
-        parser.error("--init-rsm is only read by model 'sm'")
-    if args.init_rq is not None and args.model not in ("sm", "gsm"):
-        parser.error("--init-rq is only read by models 'sm' and 'gsm'")
+    given = _given_flags(args, parser, "--model", args.model)
     profile = read_profile_csv(args.infile)
-    if args.model in BASELINE_MODELS:
+    if args.model not in GP_MODELS:
         with _flag_values(parser):
             if args.model in ("mean", "median"):
                 filled = impute_constant(profile, args.model)
-            elif args.model == "nn":
-                filled = impute_nn_mean(profile)
-            elif args.model == "medfilt":
-                filled = impute_median_filter(profile, window=args.window)
             else:
-                filled = impute_idw(profile, power=args.power,
-                                    radius=args.radius)
+                filled = BASELINES[args.model](profile, **given)
         write_profile_csv(filled, args.out)
         print(f"imputed {profile.n_missing} points to {args.out}")
         return 0
 
-    if args.seed is None:
-        parser.error(f"--seed is required for model {args.model!r}")
+    seed = given.pop("seed")
+    base, ext = os.path.splitext(args.out)
+    posterior_path = given.pop("posterior", None) or f"{base}.posterior{ext or '.csv'}"
+    fit = {}
     with _flag_values(parser):
-        opt = OptConfig(max_iterations=args.max_iterations)
+        if "max_iterations" in given:
+            fit["config"] = OptConfig(max_iterations=given.pop("max_iterations"))
         if args.model == "sm":
-            model, _, traces = fit_sm(
-                profile, q=args.q, config=opt, seed=args.seed,
-                init_rsm=args.init_rsm, init_rq=args.init_rq,
-                n_restarts=args.restarts,
-            )
+            model, _, traces = fit_sm(profile, seed=seed, **given, **fit)
         elif args.model == "se":
-            model, _, traces = fit_se(profile, config=opt)
+            model, _, traces = fit_se(profile, **fit)
         else:
-            model0 = make_gsm_model(
-                profile,
-                n_latent=args.n_latent,
-                rq0=args.init_rq,
-                wavelength_left=args.wavelength_left,
-                wavelength_right=args.wavelength_right,
-            )
-            model, trace = fit_gsm(profile, model0, opt)
-            traces = [trace]
+            model, *traces = fit_gsm(profile, make_gsm_model(profile, **given), **fit)
     stopped = [t for t in traces if t.termination == "nonfinite"]
     if stopped:
         trace_path = f"{args.out}.trace.csv"
@@ -166,9 +195,8 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
               f"keeps its best finite iterate (objective trace: {trace_path})",
               file=sys.stderr)
 
-    result = impute(profile, model, args.seed + 1)
+    result = impute(profile, model, seed + 1)
     write_profile_csv(result.profile, args.out)
-    posterior_path = args.posterior or _default_posterior_path(args.out)
     write_posterior_csv(result.xm, result.post_mean, result.lo95,
                         result.hi95, posterior_path)
     print(f"imputed {len(result.xm)} points to {args.out}")
@@ -250,43 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a, _p: cmd_simulate(a))
 
     p = sub.add_parser("mask", help="flag points as missing")
-    p.add_argument("--method", choices=("dales", "gradient"), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=5,
-                   help="dales: how many smallest-width dales to mask")
-    p.add_argument("--volume-threshold", type=float, default=0.0,
-                   help="dales: merge dales below this volume (um*mm)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="gradient: absolute slope limit (um/mm)")
+    _add_variants(p, "--method", ("dales", "gradient"))
     p.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("impute", help="fill the missing points")
-    p.add_argument("--model", required=True,
-                   choices=GP_MODELS + BASELINE_MODELS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, help="required for GP models")
-    p.add_argument("--posterior",
-                   help="posterior CSV path (GP models; default <out>.posterior.csv)")
-    p.add_argument("--init-rsm", type=float, default=None,
-                   help="sm: feature-spacing prior (mm), default Rsm of the data")
-    p.add_argument("--init-rq", type=float, default=None,
-                   help="sm, gsm: amplitude prior (um), default Rq of the data")
-    p.add_argument("--q", type=int, default=5, help="sm: mixture components")
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--restarts", type=int, default=3, help="sm: fit restarts")
-    p.add_argument("--n-latent", type=int, default=100,
-                   help="gsm: latent representatives")
-    p.add_argument("--wavelength-left", type=float, default=None,
-                   help="gsm: expected wavelength at the left edge (mm)")
-    p.add_argument("--wavelength-right", type=float, default=None,
-                   help="gsm: expected wavelength at the right edge (mm)")
-    p.add_argument("--window", type=int, default=5,
-                   help="medfilt: odd window size")
-    p.add_argument("--power", type=float, default=2.0, help="idw exponent")
-    p.add_argument("--radius", type=float, default=None,
-                   help="idw support radius (mm), default 10*dx")
+    _add_variants(p, "--model", (*GP_MODELS, "mean", "median", *BASELINES))
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("eval", help="score an imputation against truth")

@@ -347,7 +347,7 @@ def fit_gsm(profile: Profile, model0: GsmModel,
 
 
 def make_gsm_model(profile: Profile, n_latent: int = 100,
-                   rq0: float | None = None,
+                   init_rq: float | None = None,
                    wavelength_left: float | None = None,
                    wavelength_right: float | None = None,
                    noise0: float | None = None) -> GsmModel:
@@ -392,9 +392,9 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     mean_ratio = float(np.clip(np.mean(ramp) / f_nyq, 1e-6, 1.0 - 1e-6))
     mean_f = math.log(mean_ratio / (1.0 - mean_ratio))
 
-    if rq0 is not None and not 0 < rq0 < math.inf:
+    if init_rq is not None and not 0 < init_rq < math.inf:
         raise ValueError("Rq scale must be positive and finite")
-    amp = float(rq0) if rq0 is not None else rq(profile)
+    amp = float(init_rq) if init_rq is not None else rq(profile)
     if not amp > 0:
         raise NoProfileElementsError("the profile is flat: its Rq is 0")
     if amp * amp == math.inf:  # the start kernel's variance

@@ -673,18 +673,18 @@ def test_make_gsm_model_validation():
     with pytest.raises(ValueError):
         make_gsm_model(profile, wavelength_left=-0.1, wavelength_right=0.2)
     with pytest.raises(ValueError):
-        make_gsm_model(profile, rq0=0.0)
+        make_gsm_model(profile, init_rq=0.0)
 
 
-@pytest.mark.parametrize("rq0", [math.inf, math.nan, 1e155, 1e300])
-def test_make_gsm_model_rejects_an_rq_whose_start_kernel_is_not_finite(rq0):
+@pytest.mark.parametrize("init_rq", [math.inf, math.nan, 1e155, 1e300])
+def test_make_gsm_model_rejects_an_rq_whose_start_kernel_is_not_finite(init_rq):
     # w(x)^2 = Rq^2 is the start kernel's variance; the test session
     # turns any numpy RuntimeWarning into an error
     g = make_grid(0.0, 0.01, 50)
     profile = Profile(g, np.sin(g.points()), None)
     with pytest.raises(ValueError, match="finite"):
-        make_gsm_model(profile, rq0=rq0)
-    assert make_gsm_model(profile, rq0=1e150).w.mean == math.log(1e150)
+        make_gsm_model(profile, init_rq=init_rq)
+    assert make_gsm_model(profile, init_rq=1e150).w.mean == math.log(1e150)
 
 
 @pytest.mark.parametrize("wavelength", [math.inf, 1e-320])

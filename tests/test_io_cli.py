@@ -4,6 +4,7 @@ CLI commands are driven in-process through main(argv); stdout/stderr are
 captured with redirect_* so no pytest capture fixtures are needed.
 """
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -23,10 +24,20 @@ from surfimpute import (
     GridMismatchError,
     MustImputeFirstError,
     NothingToImputeError,
+    OptConfig,
     Profile,
     evaluate,
+    fit_gsm,
+    fit_se,
+    fit_sm,
+    impute,
     impute_constant,
+    impute_idw,
+    impute_median_filter,
+    impute_nn_mean,
     make_grid,
+    make_gsm_model,
+    mask_smallest_width_dales,
     parse_config,
     profile_from_arrays,
     read_posterior_csv,
@@ -567,16 +578,6 @@ def test_cli_impute_usage_errors(tmp_path):
     ])
     assert code == 1 and "error:" in stderr
 
-    # a prior flag the model does not read is refused before any file is
-    # read (the input is absent) or written
-    for model, flag, value in (("gsm", "--init-rsm", "0.1"), ("se", "--init-rsm", "0.1"),
-                               ("se", "--init-rq", "1"), ("mean", "--init-rq", "1")):
-        assert cli_usage_error([
-            "impute", "--model", model, "--seed", "1", flag, value,
-            "--in", str(tmp_path / "absent.csv"), "--out", str(out),
-        ]) == 2, (model, flag)
-    assert {p.name for p in tmp_path.iterdir()} == {"masked.csv"}
-
 
 def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
     # heights near 1e160 overflow the start variance: the data's fault,
@@ -604,8 +605,9 @@ def test_cli_nonfinite_stop_warns_and_writes_the_trace(tmp_path, monkeypatch, mo
     src = tmp_path / "masked.csv"
     write_profile_csv(masked, src)
     out = tmp_path / f"{model}.csv"
-    code, stdout, stderr = run_cli(["impute", "--model", model, "--seed", "1", "--q", "2",
-                                    "--n-latent", "6", "--max-iterations", "3",
+    size = {"sm": ["--q", "2"], "gsm": ["--n-latent", "6"]}[model]
+    code, stdout, stderr = run_cli(["impute", "--model", model, "--seed", "1", *size,
+                                    "--max-iterations", "3",
                                     "--in", str(src), "--out", str(out)])
     trace_path = tmp_path / f"{model}.csv.trace.csv"
     assert code == 0
@@ -621,6 +623,115 @@ def test_cli_nonfinite_stop_warns_and_writes_the_trace(tmp_path, monkeypatch, mo
     rows = data.decode().splitlines()
     assert rows[0] == "iteration,objective"
     assert len(rows) == 2 and rows[1].startswith("0,") and math.isfinite(float(rows[1][2:]))
+
+
+def variant_commands():
+    """(command, selector, {variant: row}, {flag: action}) of each command
+    whose flags depend on a variant, from the parser's own actions: a flag
+    declared with no default (argparse.SUPPRESS) is variant-specific."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, p in commands.choices.items():
+        specific = {a.option_strings[0]: a for a in p._actions
+                    if a.default is argparse.SUPPRESS and not isinstance(a, argparse._HelpAction)}
+        if specific:
+            (selector,) = [a for a in p._actions if a.choices and a.required]
+            rows = {v: cli.READS[v] for v in selector.choices}
+            yield command, selector.option_strings[0], rows, specific
+
+
+# a value each variant-specific flag accepts on toy_profile
+FLAG_VALUES = {
+    "--seed": "1", "--max-iterations": "2", "--q": "1", "--restarts": "1",
+    "--init-rsm": "0.5", "--init-rq": "3", "--n-latent": "4", "--wavelength-left": "0.5",
+    "--wavelength-right": "0.5", "--window": "5", "--power": "2", "--radius": "0.5",
+    "--count": "1", "--volume-threshold": "0", "--threshold": "1e18",
+}
+
+
+def test_cli_a_flag_outside_its_variants_row_is_refused_before_any_file(tmp_path):
+    commands = list(variant_commands())
+    assert {c for c, *_ in commands} == {"impute", "mask"}
+    absent, out = str(tmp_path / "absent.csv"), str(tmp_path / "out.csv")
+    pairs = 0
+    for command, selector, rows, specific in commands:
+        # every variant-specific flag sits in some row, and its help names
+        # the variants that read it
+        for flag, action in specific.items():
+            readers = [v for v, row in rows.items() if flag in row]
+            assert readers, (command, flag)
+            assert action.help.startswith(", ".join(readers) + ": "), (flag, action.help)
+        assert {f for row in rows.values() for f in row} == set(specific), command
+        for variant, row in rows.items():
+            for flag in set(specific) - set(row):
+                value = FLAG_VALUES.get(flag, str(tmp_path / "p.csv"))
+                code, stderr = run_main([command, selector, variant, flag, value,
+                                         "--in", absent, "--out", out])
+                errors = [line for line in stderr.splitlines() if "error:" in line]
+                assert code == 2, (variant, flag)
+                assert errors == [f"surfimpute: error: {flag} is not read by "
+                                  f"{selector} {variant}"], (variant, flag)
+                assert list(tmp_path.iterdir()) == [], (variant, flag)
+                pairs += 1
+    # impute: 8 models x 13 flags, less the 20 in rows; mask: 2 x 3, less 3
+    assert pairs == 84 + 3
+
+
+def test_cli_every_variant_accepts_every_flag_of_its_row(tmp_path):
+    masked, truth = toy_profile()
+    inputs = {"impute": tmp_path / "masked.csv", "mask": tmp_path / "truth.csv"}
+    write_profile_csv(masked, inputs["impute"])
+    write_profile_csv(truth, inputs["mask"])
+    for command, selector, rows, _ in variant_commands():
+        for variant, row in rows.items():
+            out = tmp_path / f"{variant}.csv"
+            values = {**FLAG_VALUES, "--posterior": str(tmp_path / f"{variant}.post.csv")}
+            argv = [command, selector, variant, *(x for f in row for x in (f, values[f]))]
+            code, stderr = run_main(argv + ["--in", str(inputs[command]), "--out", str(out)])
+            assert (code, stderr) == (0, ""), (variant, stderr)
+            assert out.exists()
+
+
+def test_cli_adds_nothing_to_the_library_defaults(tmp_path):
+    # a flag the user leaves out takes the library's default: the CLI
+    # writes the bytes of the direct library call at its defaults
+    masked, truth = toy_profile()
+    src, complete = tmp_path / "masked.csv", tmp_path / "truth.csv"
+    write_profile_csv(masked, src)
+    write_profile_csv(truth, complete)
+    profile = read_profile_csv(src)
+    short = OptConfig(max_iterations=3)
+    fits = {
+        "sm": lambda: fit_sm(profile, config=short, seed=5)[0],
+        "se": lambda: fit_se(profile, config=short)[0],
+        "gsm": lambda: fit_gsm(profile, make_gsm_model(profile), short)[0],
+    }
+    for model, fit in fits.items():
+        got, want = tmp_path / f"{model}.csv", tmp_path / f"{model}-lib.csv"
+        assert run_main(["impute", "--model", model, "--seed", "5", "--max-iterations", "3",
+                         "--in", str(src), "--out", str(got)]) == (0, "")
+        result = impute(profile, fit(), 6)
+        write_profile_csv(result.profile, want)
+        write_posterior_csv(result.xm, result.post_mean, result.lo95, result.hi95,
+                            tmp_path / "lib.posterior.csv")
+        assert got.read_bytes() == want.read_bytes(), model
+        assert ((tmp_path / f"{model}.posterior.csv").read_bytes()
+                == (tmp_path / "lib.posterior.csv").read_bytes()), model
+    baselines = {
+        "mean": lambda: impute_constant(profile, "mean"),
+        "median": lambda: impute_constant(profile, "median"),
+        "nn": lambda: impute_nn_mean(profile),
+        "medfilt": lambda: impute_median_filter(profile),
+        "idw": lambda: impute_idw(profile),
+    }
+    runs = [(["impute", "--model", m, "--in", str(src)], fill) for m, fill in baselines.items()]
+    runs.append((["mask", "--method", "dales", "--count", "2", "--in", str(complete)],
+                  lambda: mask_smallest_width_dales(read_profile_csv(complete), 2)))
+    for argv, fill in runs:
+        got, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert run_main(argv + ["--out", str(got)]) == (0, ""), argv
+        write_profile_csv(fill(), want)
+        assert got.read_bytes() == want.read_bytes(), argv
 
 
 def test_sim_config_fields_parse_to_their_declared_types(tmp_path):
