@@ -73,8 +73,10 @@ FLAGS = {
     "--max-iterations": dict(type=int, help="iteration cap of each fit run"),
     "--q": dict(type=int, help="mixture components"),
     "--restarts": dict(type=int, dest="n_restarts", metavar="RESTARTS", help="fit restarts"),
-    "--init-rsm": dict(type=float, help="feature-spacing prior (mm), default Rsm of the data"),
-    "--init-rq": dict(type=float, help="amplitude prior (um), default Rq of the data"),
+    "--init-rsm": dict(type=float, help="feature-spacing prior (mm), default Rsm of the "
+                       "data, or a tenth of its span with fewer than two crossings"),
+    "--init-rq": dict(type=float, help="amplitude prior (um), default Rq of the data; "
+                      "a flat profile (Rq 0) is refused"),
     "--n-latent": dict(type=int, help="latent representatives"),
     "--wavelength-left": dict(type=float, help="expected wavelength at the left edge (mm)"),
     "--wavelength-right": dict(type=float, help="expected wavelength at the right edge (mm)"),
@@ -162,6 +164,10 @@ def cmd_mask(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
     given = _given_flags(args, parser, "--model", args.model)
+    fit = {}
+    if "max_iterations" in given:
+        with _flag_values(parser):
+            fit["config"] = OptConfig(max_iterations=given.pop("max_iterations"))
     profile = read_profile_csv(args.infile)
     if args.model not in GP_MODELS:
         with _flag_values(parser):
@@ -176,10 +182,7 @@ def cmd_impute(args, parser: argparse.ArgumentParser) -> int:
     seed = given.pop("seed")
     base, ext = os.path.splitext(args.out)
     posterior_path = given.pop("posterior", None) or f"{base}.posterior{ext or '.csv'}"
-    fit = {}
     with _flag_values(parser):
-        if "max_iterations" in given:
-            fit["config"] = OptConfig(max_iterations=given.pop("max_iterations"))
         if args.model == "sm":
             model, _, traces = fit_sm(profile, seed=seed, **given, **fit)
         elif args.model == "se":

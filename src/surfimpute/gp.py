@@ -352,14 +352,33 @@ def impute(profile: Profile, model, seed: int) -> ImputationResult:
 # hyperparameter fitting
 
 
-def _height_variance(profile: Profile, fit: str) -> float:
-    """Variance of the valid heights; a FitFailureError for ``fit`` when
-    it overflows (heights of about 1e155 and up), before a start model."""
-    with np.errstate(over="ignore"):
-        var = float(np.var(profile.valid_z()))
-    if var == math.inf:
+def _start_scales(profile: Profile, fit: str, init_rsm: float | None = None,
+                  init_rq: float | None = None):
+    """``(rsm_mm, rq_um)``, the texture scales every fit starts from: the
+    priors where given, else the profile's Rsm and Rq.  The refusals, in
+    order: a prior that is not positive and finite (ValueError), heights
+    whose variance overflows (a FitFailureError for ``fit``), a flat
+    profile, priors or not (NoProfileElementsError), and an Rq whose
+    square, the start kernel's variance, overflows (ValueError).  A
+    profile with fewer than two qualified crossings starts at a tenth of
+    its span."""
+    if any(s is not None and not 0 < s < math.inf for s in (init_rsm, init_rq)):
+        raise ValueError("Rsm and Rq scales must be positive and finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data_rq = rq(profile)
+    if not data_rq < math.inf:
         raise FitFailureError(f"{fit} fit could not start: the height variance overflows")
-    return var
+    if data_rq == 0:
+        raise NoProfileElementsError("the profile is flat: its Rq is 0")
+    rq_um = data_rq if init_rq is None else float(init_rq)
+    if rq_um * rq_um == math.inf:
+        raise ValueError(f"Rq {rq_um:g} um gives a start kernel that is not finite")
+    if init_rsm is not None:
+        return float(init_rsm), rq_um
+    try:
+        return rsm(profile), rq_um
+    except NoProfileElementsError:
+        return float(profile.x[-1] - profile.x[0]) / 10.0, rq_um
 
 
 def estimate_noise_variance(profile: Profile) -> float:
@@ -476,20 +495,14 @@ def sm_initial_kernel(profile: Profile, q: int = 5,
     its harmonics with small weights."""
     if q < 1:
         raise ValueError("need at least one mixture component")
-    if any(s is not None and not 0 < s < math.inf for s in (init_rsm, init_rq)):
-        raise ValueError("Rsm and Rq scales must be positive and finite")
-    r = float(init_rsm) if init_rsm is not None else rsm(profile)
-    a = float(init_rq) if init_rq is not None else rq(profile)
-    if not a > 0:
-        raise NoProfileElementsError("the profile is flat: its Rq is 0")
+    r, a = _start_scales(profile, "GP", init_rsm, init_rq)
     freqs = np.array([m / r for m in range(1, q + 1)])
     weights = np.full(q, a * a / (10.0 * q))
     weights[0] = a * a
     with np.errstate(over="ignore"):
         freq_vars = (0.05 * freqs) ** 2
-    if not np.all(np.isfinite([weights, freqs, freq_vars])):
-        raise ValueError(f"Rsm {r:g} mm and Rq {a:g} um give a start kernel "
-                         "that is not finite")
+    if not np.all(np.isfinite([freqs, freq_vars])):
+        raise ValueError(f"Rsm {r:g} mm gives a start kernel that is not finite")
     return SMParams(weights, freqs, freq_vars)
 
 
@@ -497,7 +510,6 @@ def fit_sm(profile: Profile, q: int = 5, config: OptConfig = OptConfig(),
            seed: int = 0, init_rsm: float | None = None,
            init_rq: float | None = None, n_restarts: int = 3):
     """Fit a Q-component spectral mixture with white noise."""
-    _height_variance(profile, "GP")
     kernel0 = sm_initial_kernel(profile, q, init_rsm, init_rq)
     return fit_gp(
         profile,
@@ -510,12 +522,9 @@ def fit_sm(profile: Profile, q: int = 5, config: OptConfig = OptConfig(),
 
 
 def fit_se(profile: Profile, config: OptConfig = OptConfig()):
-    """Fit a squared-exponential GP (ordinary-kriging style baseline)."""
-    sigma2 = max(_height_variance(profile, "GP"), 1e-12)
-    try:
-        theta = 0.25 * rsm(profile)
-    except NoProfileElementsError:
-        theta = max(profile.grid.span / 20.0, profile.dx)
-    kernel0 = SEParams(sigma2, theta)
+    """Fit a squared-exponential GP (ordinary-kriging style baseline)
+    from variance Rq^2 and lengthscale Rsm / 4."""
+    rsm_mm, rq_um = _start_scales(profile, "GP")
+    kernel0 = SEParams(rq_um * rq_um, 0.25 * rsm_mm)
     noise0 = NoiseParams("white", estimate_noise_variance(profile))
     return fit_gp(profile, kernel0, noise0, config)

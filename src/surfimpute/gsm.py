@@ -29,8 +29,8 @@ import scipy.linalg
 from scipy.linalg import blas
 from scipy.special import expit
 
-from .errors import FitFailureError, NoProfileElementsError, NotPositiveDefiniteError
-from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _height_variance, _inverse_lower
+from .errors import FitFailureError, NotPositiveDefiniteError
+from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower, _start_scales
 from .gp import _rejecting_failures, chol_jittered, estimate_noise_variance
 from .kernels import (
     TWO_PI,
@@ -44,7 +44,7 @@ from .kernels import (
     gsm_cov,
 )
 from .optimize import OptConfig, maximize
-from .profile import Profile, SurfaceDataset, rq, rsm
+from .profile import Profile, SurfaceDataset
 
 # diagonal jitter on the unit-variance latent prior
 LATENT_JITTER = 1e-8
@@ -355,30 +355,23 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
 
     The frequency latent ramps linearly between 1/wavelength_left at
     the left edge and 1/wavelength_right at the right edge (both mm);
-    with no ramp given both default to the estimated Rsm, a flat start.
+    an end left out takes the start Rsm every fit shares (``_start_scales``).
     The ramp's values at the latent locations are whitened once.  The
-    weight latent starts at Rq, the lengthscale latent at the median
-    ramp wavelength, both constant (v = 0).
+    weight latent starts at Rq (or ``init_rq``), the lengthscale latent
+    at the median ramp wavelength, both constant (v = 0).
     """
     if n_latent < 2:
         raise ValueError("need at least two latent locations")
-    _height_variance(profile, "GSM")
+    rsm_mm, amp = _start_scales(profile, "GSM", init_rq=init_rq)
     x = profile.x
     span = float(x[-1] - x[0])
-    if span <= 0:
-        raise ValueError("profile span must be positive")
     x_l = np.linspace(x[0], x[-1], n_latent)
     f_nyq = profile.grid.nyquist
 
-    if wavelength_left is None or wavelength_right is None:
-        try:
-            fallback = rsm(profile)
-        except NoProfileElementsError:
-            fallback = span / 10.0
-        if wavelength_left is None:
-            wavelength_left = fallback
-        if wavelength_right is None:
-            wavelength_right = fallback
+    if wavelength_left is None:
+        wavelength_left = rsm_mm
+    if wavelength_right is None:
+        wavelength_right = rsm_mm
     if not (0 < wavelength_left < math.inf and 0 < wavelength_right < math.inf):
         raise ValueError("ramp wavelengths must be positive and finite")
 
@@ -392,13 +385,6 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     mean_ratio = float(np.clip(np.mean(ramp) / f_nyq, 1e-6, 1.0 - 1e-6))
     mean_f = math.log(mean_ratio / (1.0 - mean_ratio))
 
-    if init_rq is not None and not 0 < init_rq < math.inf:
-        raise ValueError("Rq scale must be positive and finite")
-    amp = float(init_rq) if init_rq is not None else rq(profile)
-    if not amp > 0:
-        raise NoProfileElementsError("the profile is flat: its Rq is 0")
-    if amp * amp == math.inf:  # the start kernel's variance
-        raise ValueError(f"Rq {amp:g} um gives a start kernel that is not finite")
     median_lam = float(np.median(1.0 / ramp))
     se = SEParams(LATENT_SIGMA2, LATENT_THETA_FRAC * span)
     sigma_n2 = noise0 if noise0 is not None else estimate_noise_variance(profile)

@@ -42,10 +42,6 @@ class Grid1D:
         return self.x0 + np.arange(self.n, dtype=float) * self.dx
 
     @property
-    def span(self) -> float:
-        return (self.n - 1) * self.dx
-
-    @property
     def nyquist(self) -> float:
         """Highest representable spatial frequency, 1/(2*dx) in 1/mm."""
         return 0.5 / self.dx

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from surfimpute import (
     EmptyDatasetError,
+    FitFailureError,
     InsufficientFeaturesError,
+    NoProfileElementsError,
     NotPositiveDefiniteError,
     NothingToImputeError,
     OptConfig,
@@ -874,6 +876,43 @@ def test_sm_initial_kernel_rejects_scales_whose_start_kernel_is_not_finite(scale
     with pytest.raises(ValueError, match="finite"):
         gp.sm_initial_kernel(prof, q=1, **scales)
     assert np.isfinite(gp.sm_initial_kernel(prof, q=1, init_rsm=1e-150).freq_vars[0])
+
+
+def _start_rsm(fit, profile, **prior):
+    """The start Rsm (mm) of one fit.  Run with ``gp.fit_gp`` patched to
+    return its start kernel, fit_sm and fit_se optimize nothing."""
+    if fit == "gsm":  # the lengthscale latent starts at the flat ramp's wavelength
+        return math.exp(gsm.make_gsm_model(profile, n_latent=4, **prior).lam.mean)
+    if fit == "se":
+        return 4.0 * fit_se(profile).theta
+    return 1.0 / fit_sm(profile, q=1, **prior).freqs[0]
+
+
+@pytest.mark.parametrize("case, fit", [
+    (case, fit) for case in ("one-crossing", "flat", "bad-prior", "huge")
+    for fit in ("sm", "se", "gsm") if (case, fit) != ("bad-prior", "se")  # se takes no prior
+])
+def test_every_fit_starts_and_refuses_alike(monkeypatch, case, fit):
+    monkeypatch.setattr(gp, "fit_gp", lambda profile, kernel0, *args, **kwargs: kernel0)
+    g = make_grid(0.0, 0.01, 40)
+    x = g.points()
+    wave = np.sin(2 * np.pi * x / 0.1)
+    z = {"one-crossing": x, "flat": np.ones(40), "bad-prior": wave, "huge": 1e160 * wave}
+    profile = Profile(g, z[case], None)
+    if case == "one-crossing":  # a ramp has no Rsm: start at a tenth of the span
+        assert _start_rsm(fit, profile) == pytest.approx(0.039, rel=1e-12)
+    elif case == "flat":
+        with pytest.raises(NoProfileElementsError, match="^the profile is flat: its Rq is 0$"):
+            _start_rsm(fit, profile)
+    elif case == "bad-prior":
+        for init_rq in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match="^Rsm and Rq scales must be positive and finite$"):
+                _start_rsm(fit, profile, init_rq=init_rq)
+    else:  # the session turns the overflow's RuntimeWarning into an error
+        with pytest.raises(FitFailureError,
+                           match="fit could not start: the height variance overflows$"):
+            _start_rsm(fit, profile)
 
 
 def test_fit_sm_runs_and_returns_valid_model():

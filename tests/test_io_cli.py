@@ -877,6 +877,9 @@ def test_cli_plot_refuses_a_band_off_the_masked_positions(tmp_path):
 
 @pytest.mark.parametrize("argv, config, code", [
     (["impute", "--model", "sm", "--seed", "1", "--max-iterations", "0"], None, 2),
+    # the flag is checked before the input is read
+    (["impute", "--model", "sm", "--seed", "1", "--max-iterations", "0",
+      "--in", "absent.csv"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--q", "0"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--restarts", "0"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--init-rsm", "-1"], None, 2),
@@ -896,16 +899,18 @@ def test_cli_plot_refuses_a_band_off_the_masked_positions(tmp_path):
     (["mask", "--method", "gradient", "--threshold", "-1"], None, 2),
     (["simulate", "--kind", "turned", "--seed", "1"], "sigma2 = -1", 1),
     (["simulate", "--kind", "chirp", "--seed", "1"], "n = 0", 1),
-], ids=["max-iterations", "q", "restarts", "init-rsm", "init-rsm-tiny", "init-rq-inf",
-        "gsm-init-rq-inf", "gsm-wavelength-tiny", "n-latent", "window", "power",
-        "power-nan", "power-inf", "radius-nan", "radius-zero", "count",
+], ids=["max-iterations", "max-iterations-absent-input", "q", "restarts", "init-rsm",
+        "init-rsm-tiny", "init-rq-inf", "gsm-init-rq-inf", "gsm-wavelength-tiny", "n-latent",
+        "window", "power", "power-nan", "power-inf", "radius-nan", "radius-zero", "count",
         "volume-threshold-nan", "threshold", "sim-sigma2", "sim-n"])
 def test_cli_rejected_values_exit_without_a_traceback(tmp_path, argv, config, code):
     masked, truth = toy_profile()
     src = tmp_path / "in.csv"
     write_profile_csv(masked if argv[0] == "impute" else truth, src)
     out = tmp_path / "out.csv"
-    if config is None:
+    if "--in" in argv:  # a file under tmp_path that is never written
+        argv = [*argv[:-1], str(tmp_path / argv[-1])]
+    elif config is None:
         argv = argv + ["--in", str(src)]
     else:
         (tmp_path / "sim.txt").write_text(config + "\n")
