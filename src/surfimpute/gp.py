@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from . import kernels
+from . import _lapack, kernels
 from .errors import (
     EmptyDatasetError,
     FitFailureError,
@@ -94,7 +93,7 @@ def chol_jittered(a: np.ndarray):
         # potrf factors the upper triangle of work^T, which is work's
         # lower one, into a copy; clean=1 zeroes the rest, so u^T is a
         # C-ordered lower factor whose strict upper triangle is zero
-        u, info = scipy.linalg.lapack.dpotrf(work.T, lower=0, clean=1)
+        u, info = _lapack.dpotrf(work.T, lower=0, clean=1)
         if info == 0:
             if not np.all(np.isfinite(np.diagonal(u))):
                 raise NotPositiveDefiniteError("matrix is not finite")
@@ -120,7 +119,7 @@ def _gaussian_core(a: np.ndarray, y: np.ndarray):
     fac, _ = chol_jittered(a)
     if len(y) == 0:  # the wrapper rejects an empty system
         return fac, np.zeros(0), 0.0
-    alpha, info = scipy.linalg.lapack.dpotrs(fac.T, y, lower=0)
+    alpha, info = _lapack.dpotrs(fac.T, y, lower=0)
     if info < 0:
         raise np.linalg.LinAlgError(f"dpotrs: illegal value in argument {-info}")
     logdet = np.sum(np.log(np.diagonal(fac)))
@@ -138,7 +137,7 @@ def _invert_upper(u: np.ndarray, offset: int = 0) -> np.ndarray:
     1-based index, as potri's info names it."""
     n = u.shape[0]
     if n <= _TRTRI_LEAF:
-        inv, info = scipy.linalg.lapack.dtrtri(u, lower=0, overwrite_c=1)
+        inv, info = _lapack.dtrtri(u, lower=0, overwrite_c=1)
         if info > 0:
             raise NotPositiveDefiniteError(f"factor is singular at pivot {offset + info}")
         if info < 0:
@@ -147,8 +146,8 @@ def _invert_upper(u: np.ndarray, offset: int = 0) -> np.ndarray:
     k = n // 2
     u[:k, :k] = _invert_upper(u[:k, :k], offset)
     u[k:, k:] = _invert_upper(u[k:, k:], offset + k)
-    u12 = scipy.linalg.blas.dtrmm(-1.0, u[:k, :k], u[:k, k:])
-    u[:k, k:] = scipy.linalg.blas.dtrmm(1.0, u[k:, k:], u12, side=1, overwrite_b=1)
+    u12 = _lapack.dtrmm(-1.0, u[:k, :k], u[:k, k:])
+    u[:k, k:] = _lapack.dtrmm(1.0, u[k:, k:], u12, side=1, overwrite_b=1)
     return u
 
 
@@ -166,7 +165,7 @@ def _inverse_lower(fac: np.ndarray) -> np.ndarray:
     if fac.shape[0] == 0:
         return fac
     u = _invert_upper(fac.T)
-    inv, info = scipy.linalg.lapack.dlauum(u, lower=0, overwrite_c=1)
+    inv, info = _lapack.dlauum(u, lower=0, overwrite_c=1)
     if info < 0:
         raise np.linalg.LinAlgError(f"dlauum: illegal value in argument {-info}")
     return inv.T
@@ -225,7 +224,7 @@ def _conditioned(a: np.ndarray, c_ma: np.ndarray, c_mm: np.ndarray,
     training factor and v = L^-1 C_am, cov = C_mm - v^T v is exactly
     symmetric.  The callers say where the three blocks come from."""
     fac, alpha, _ = _gaussian_core(a, za)
-    v = scipy.linalg.solve_triangular(fac, c_ma.T, lower=True)
+    v = _lapack.solve_triangular(fac, c_ma.T, lower=True)
     return PosteriorGaussian(c_ma @ alpha, c_mm - v.T @ v)
 
 

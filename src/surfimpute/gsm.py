@@ -25,10 +25,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
-from scipy.special import expit
 
+from . import _lapack
 from .errors import FitFailureError, NotPositiveDefiniteError
 from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower, _start_scales
 from .gp import _rejecting_failures, chol_jittered, estimate_noise_variance
@@ -119,7 +117,7 @@ def _latent_map(theta: float, x_l: np.ndarray, xq) -> np.ndarray:
     its mean at ``xq`` is sqrt(sigma^2) times this map of v."""
     fac = _latent_factor(theta, x_l)
     k_lq = build_cov(SEParams(1.0, theta), x_l, xq)
-    return scipy.linalg.solve_triangular(fac, k_lq, lower=True).T
+    return _lapack.solve_triangular(fac, k_lq, lower=True).T
 
 
 def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
@@ -128,7 +126,7 @@ def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
     transform."""
     dev = _latent_map(spec.se.theta, spec.x_l, xq) @ spec.v
     u = spec.mean + math.sqrt(spec.se.sigma2) * dev
-    return np.exp(u) if spec.transform == "log" else spec.scale * expit(u)
+    return np.exp(u) if spec.transform == "log" else spec.scale * _lapack.expit(u)
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,7 @@ class _GsmObjective:
         devs = self._deviations(vs, scales)
         us = self.means + devs
         w, lam = np.exp(us[:2])
-        s_f = expit(us[2])
+        s_f = _lapack.expit(us[2])
         f_nyq = self.model0.f.scale
 
         # profile covariance and likelihood; K is written into A's buffer
@@ -296,18 +294,18 @@ class _GsmObjective:
         # Fortran-ordered views that see them as upper ones.
         inv = _inverse_lower(fac_a)
         tr_inv = np.trace(inv)
-        n_low = blas.dsyr(-1.0, alpha, a=inv.T, overwrite_a=1).T
+        n_low = _lapack.dsyr(-1.0, alpha, a=inv.T, overwrite_a=1).T
 
         # per-point sensitivities s_h[k] = sum_j M_kj dK_kj/du_h(x_k); with
         # (2 sq/d - 1) / d = -(2 (-sq/d) + 1) / d, the lambda sum splits
         # into the row sums of X = N o K / d and of X o (-sq/d)
         g *= n_low  # N o G, lower triangle
-        pc, ps = blas.dsymm(-1.0, g.T, q).T  # (M o G) [wc ws]
+        pc, ps = _lapack.dsymm(-1.0, g.T, q).T  # (M o G) [wc ws]
         a *= n_low
         a /= d  # X, lower triangle
-        lam_sum = blas.dsymv(1.0, a.T, self._ones)
+        lam_sum = _lapack.dsymv(1.0, a.T, self._ones)
         a *= neg_sq_d
-        lam_sum = blas.dsymv(2.0, a.T, self._ones, beta=1.0, y=lam_sum, overwrite_y=1)
+        lam_sum = _lapack.dsymv(2.0, a.T, self._ones, beta=1.0, y=lam_sum, overwrite_y=1)
         s_w = wc * pc + ws * ps
         df = f_nyq * s_f * (1.0 - s_f)  # df/du at each point
         sens = np.stack([
@@ -388,8 +386,8 @@ def make_gsm_model(profile: Profile, n_latent: int = 100,
     median_lam = float(np.median(1.0 / ramp))
     se = SEParams(LATENT_SIGMA2, LATENT_THETA_FRAC * span)
     sigma_n2 = noise0 if noise0 is not None else estimate_noise_variance(profile)
-    v_f = scipy.linalg.solve_triangular(_latent_factor(se.theta, x_l),
-                                        u_f - mean_f, lower=True) / math.sqrt(se.sigma2)
+    v_f = _lapack.solve_triangular(_latent_factor(se.theta, x_l),
+                                   u_f - mean_f, lower=True) / math.sqrt(se.sigma2)
     flat = np.zeros(n_latent)
 
     return GsmModel(

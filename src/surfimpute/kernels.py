@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas
+
+from . import _lapack
 
 TWO_PI = 2.0 * np.pi
 
@@ -225,8 +226,8 @@ def _outer(u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
         raise ValueError("out must be a C-contiguous array")
     if len(u) == 0 or len(v) == 0:  # the wrapper rejects empty operands
         return np.empty((len(u), len(v))) if out is None else out
-    return blas.dgemm(1.0, v, u, trans_b=1, c=None if out is None else out.T,
-                      overwrite_c=1).T
+    return _lapack.dgemm(1.0, v, u, trans_b=1, c=None if out is None else out.T,
+                         overwrite_c=1).T
 
 
 def _gibbs_terms(neg_sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray, out=None):

@@ -9,8 +9,6 @@ other tools) can read structure back out of the image.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .profile import Profile
@@ -187,10 +185,10 @@ def render_svg(masked: Profile, imputed: Profile | None = None,
         f'transform="rotate(-90 16 {_fmt(MARGIN_T + ph / 2)})">z (um)</text>'
     )
     if title:
-        parts.append(
-            f'<text class="title" x="{_fmt(MARGIN_L)}" y="22">'
-            f"{escape(title)}</text>"
-        )
+        # xml.sax.saxutils.escape's replacements, & first (importing it
+        # loads urllib.request)
+        text = title.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+        parts.append(f'<text class="title" x="{_fmt(MARGIN_L)}" y="22">{text}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

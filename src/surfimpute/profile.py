@@ -201,7 +201,14 @@ def rq(profile: Profile) -> float:
     z = profile.valid_z()
     if len(z) == 0:
         raise EmptyDatasetError("Rq needs at least one valid point")
-    return float(np.sqrt(np.mean((z - np.mean(z)) ** 2)))
+    dev = z - np.mean(z)
+    mean_square = np.mean(dev ** 2)
+    if mean_square == 0 and np.any(dev):
+        # every square underflowed (deviations below about 1e-162):
+        # average the squares of the deviations scaled to at most 1
+        top = np.max(np.abs(dev))
+        return float(top * np.sqrt(np.mean((dev / top) ** 2)))
+    return float(np.sqrt(mean_square))
 
 
 def rsm(profile: Profile) -> float:

@@ -17,9 +17,8 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import kernels
+from . import _lapack, kernels
 from .errors import EmptyDatasetError, InsufficientFeaturesError, MustImputeFirstError
 from .gp import chol_jittered
 from .kernels import NoiseParams, PeriodicParams
@@ -79,7 +78,7 @@ def _toeplitz_factor(kernel, n: int, dx: float) -> np.ndarray:
     n = 2000; the default 5000-point chirp keeps one, 200 MB.
     """
     table = kernels.value_on_lags(kernel, np.arange(n, dtype=float) * dx)
-    fac, _ = chol_jittered(scipy.linalg.toeplitz(table))
+    fac, _ = chol_jittered(_lapack.toeplitz(table))
     fac.setflags(write=False)
     return fac
 

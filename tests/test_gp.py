@@ -24,7 +24,7 @@ from surfimpute import (
     make_grid,
     rq,
 )
-from surfimpute import gp, gsm, synthesis
+from surfimpute import _lapack, gp, gsm, synthesis
 from surfimpute.gp import (
     GPModel,
     _GridMllObjective,
@@ -154,13 +154,14 @@ def test_chol_refuses_a_lower_triangle_that_is_not_finite(n, bad, where, monkeyp
     j = int(rng.integers(0, i)) if where == "off-diagonal" else i
     a[i, j] = bad  # in the lower triangle, the one LAPACK reads
     calls = []
-    potrf = scipy.linalg.lapack.dpotrf
+    potrf = _lapack.dpotrf
 
     def counting_potrf(*args, **kwargs):
         calls.append(args[0].shape)
         return potrf(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_potrf)
+    # the library calls potrf through its routine table
+    monkeypatch.setattr(_lapack, "dpotrf", counting_potrf)
     with pytest.raises(NotPositiveDefiniteError, match="not finite"):
         chol_jittered(a)
     assert len(calls) == (1 if where == "off-diagonal" else 0)

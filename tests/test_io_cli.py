@@ -373,6 +373,12 @@ def test_render_svg_deterministic_and_well_formed(tmp_path):
     assert first.count('class="truth"') == 1
     assert first.count('class="band"') == 0
 
+    # markup in the title is escaped, ampersands first
+    title = 'a < b & c > d; &amp; "e"'
+    svg = render_svg(masked, truth=truth, title=title)
+    assert 'a &lt; b &amp; c &gt; d; &amp;amp; "e"</text>' in svg
+    assert ET.fromstring(svg).find("{*}text[@class='title']").text == title
+
     # a complete profile draws a single unbroken polyline
     single = render_svg(truth)
     assert single.count('class="profile"') == 1

@@ -20,6 +20,7 @@ from surfimpute import (
     rsm,
     simulate_turned,
 )
+from surfimpute import gp
 from surfimpute.profile import split_dataset
 
 
@@ -212,6 +213,30 @@ def test_rq_shift_invariant():
     a = rq(Profile(g, z, None))
     b = rq(Profile(g, z + 123.456, None))
     assert abs(a - b) <= 1e-12 * a
+
+
+def test_rq_of_deviations_whose_squares_underflow():
+    # every square of 1e-170 * sin underflows to 0; the heights differ,
+    # so Rq is that of the sine and no fit refuses the profile as flat
+    grid = make_grid(0.0, 0.0025, 40)  # one whole period of 0.1 mm
+    tiny = Profile(grid, 1e-170 * np.sin(2.0 * np.pi * grid.points() / 0.1), None)
+    assert abs(rq(tiny) - 1e-170 / math.sqrt(2.0)) <= 1e-12 * 1e-170 / math.sqrt(2.0)
+    assert gp._start_scales(tiny, "SE")[1] == rq(tiny)
+    flat = Profile(grid, np.full(40, 1e-170), None)
+    assert rq(flat) == 0.0
+    with pytest.raises(NoProfileElementsError, match="flat"):
+        gp._start_scales(flat, "SE")
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_rq_is_the_plain_root_mean_square_where_a_square_survives(z):
+    z = np.array(z)
+    dev = z - np.mean(z)
+    plain = np.sqrt(np.mean(dev ** 2))
+    if plain > 0 or not np.any(dev):
+        p = Profile(make_grid(0.0, 0.01, len(z)), z, None)
+        assert rq(p) == float(plain)
 
 
 def test_rq_needs_a_valid_point():
