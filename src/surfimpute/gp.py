@@ -17,6 +17,7 @@ maximized.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -357,10 +358,11 @@ def _start_scales(profile: Profile, fit: str, init_rsm: float | None = None,
     priors where given, else the profile's Rsm and Rq.  The refusals, in
     order: a prior that is not positive and finite (ValueError), heights
     whose variance overflows (a FitFailureError for ``fit``), a flat
-    profile, priors or not (NoProfileElementsError), and an Rq whose
-    square, the start kernel's variance, overflows (ValueError).  A
-    profile with fewer than two qualified crossings starts at a tenth of
-    its span."""
+    profile, priors or not (NoProfileElementsError), heights whose Rq^2
+    underflows, below the least normal float (FitFailureError), and an
+    Rq whose square, the start kernel's variance, overflows or underflows
+    (ValueError).  A profile with fewer than two qualified crossings
+    starts at a tenth of its span."""
     if any(s is not None and not 0 < s < math.inf for s in (init_rsm, init_rq)):
         raise ValueError("Rsm and Rq scales must be positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -369,9 +371,13 @@ def _start_scales(profile: Profile, fit: str, init_rsm: float | None = None,
         raise FitFailureError(f"{fit} fit could not start: the height variance overflows")
     if data_rq == 0:
         raise NoProfileElementsError("the profile is flat: its Rq is 0")
+    if data_rq * data_rq < sys.float_info.min:
+        raise FitFailureError(f"{fit} fit could not start: the height variance underflows")
     rq_um = data_rq if init_rq is None else float(init_rq)
     if rq_um * rq_um == math.inf:
         raise ValueError(f"Rq {rq_um:g} um gives a start kernel that is not finite")
+    if rq_um * rq_um < sys.float_info.min:
+        raise ValueError(f"Rq {rq_um:g} um gives a start kernel variance that underflows")
     if init_rsm is not None:
         return float(init_rsm), rq_um
     try:

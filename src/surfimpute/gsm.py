@@ -12,11 +12,16 @@ trip is pack(unpack(x)): bitwise in v, and within an ulp in the four
 log-variance coordinates, since a model keeps each variance and
 log(exp(r)) is not always r.
 
-Each latent keeps the SE lengthscale of the starting model, its
-prior-knowledge value, so its map from whitened coordinates to the
-data abscissas is one constant matrix and no Cholesky factor is
+The three latents share one prior: the same locations and the SE
+lengthscale of the starting model, its prior-knowledge value, which
+the fit keeps.  One constant matrix therefore maps all three from
+whitened coordinates to the data abscissas, and no Cholesky factor is
 differentiated.  Gradients are analytic and are verified against
 central finite differences in the tests.
+
+Same-set Gibbs and GSM matrices are bitwise symmetric: they are built
+from sums and products of a point's and its partner's values, which
+commute.
 """
 
 from __future__ import annotations
@@ -30,17 +35,7 @@ from . import _lapack
 from .errors import FitFailureError, NotPositiveDefiniteError
 from .gp import LOG_2PI, _centered_dataset, _gaussian_core, _inverse_lower, _start_scales
 from .gp import _rejecting_failures, chol_jittered, estimate_noise_variance
-from .kernels import (
-    TWO_PI,
-    NoiseParams,
-    PointwiseLatents,
-    SEParams,
-    _gibbs_terms,
-    _gsm_from_terms,
-    _gsm_quadrature,
-    build_cov,
-    gsm_cov,
-)
+from .kernels import TWO_PI, NoiseParams, SEParams, build_cov
 from .optimize import OptConfig, maximize
 from .profile import Profile, SurfaceDataset
 
@@ -52,6 +47,103 @@ LATENT_SIGMA2 = 0.25
 LATENT_THETA_FRAC = 0.125
 
 _TRANSFORMS = ("log", "logit")
+
+
+@dataclass(frozen=True)
+class PointwiseLatents:
+    """GSM latent functions evaluated at a set of points."""
+
+    w: np.ndarray
+    lam: np.ndarray
+    f: np.ndarray
+
+    def __post_init__(self):
+        w = np.atleast_1d(np.asarray(self.w, dtype=float))
+        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+        f = np.atleast_1d(np.asarray(self.f, dtype=float))
+        if not (len(w) == len(lam) == len(f)):
+            raise ValueError("latent value arrays must share a length")
+        if not np.all(w > 0) or not np.all(lam > 0) or np.any(f < 0):
+            raise ValueError("latents need w > 0, lambda > 0, f >= 0")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "f", f)
+
+
+def _outer(u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """u v^T for column stacks u (n x k) and v (m x k), k small, by one
+    BLAS gemm; ``out``, if given, is a C-ordered n x m array that
+    receives it.
+
+    Each entry sums the same k products in the same order whichever
+    side of the diagonal it is on, so u u^T is bitwise symmetric; with
+    k = 1, or with one factor of every product exactly 1, it equals the
+    ``ufunc.outer`` result.  At n = 174 ufunc.outer, which runs one
+    inner loop per row, takes about four times as long, and numpy's
+    u @ u.T, which goes to syrk plus a triangle copy, about twice.
+    """
+    if out is not None and not out.flags.c_contiguous:
+        # the wrapper would write into a copy and leave out as it was
+        raise ValueError("out must be a C-contiguous array")
+    if len(u) == 0 or len(v) == 0:  # the wrapper rejects empty operands
+        return np.empty((len(u), len(v))) if out is None else out
+    return _lapack.dgemm(1.0, v, u, trans_b=1, c=None if out is None else out.T,
+                         overwrite_c=1).T
+
+
+def _gibbs_terms(neg_sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray, out=None):
+    """Gibbs matrix (unit variance) on negated squared lags ``neg_sq``,
+    with d = lam_x^2 + lam_y^2 and -sq/d, which its lengthscale
+    derivatives reuse; -sq/d is also the exponent.
+
+    ``out``, if given, is four C-ordered arrays shaped like neg_sq that
+    receive G, d, -sq/d and a scratch value; otherwise they are
+    allocated.
+    """
+    g, d, neg_sq_d, e = [np.empty_like(neg_sq) for _ in range(4)] if out is None else out
+    _outer(np.column_stack([lam_x * lam_x, np.ones_like(lam_x)]),
+           np.column_stack([np.ones_like(lam_y), lam_y * lam_y]), out=d)
+    np.divide(neg_sq, d, out=neg_sq_d)
+    _outer((2.0 * lam_x)[:, None], lam_y[:, None], out=g)
+    g /= d
+    np.sqrt(g, out=g)
+    np.exp(neg_sq_d, out=e)
+    g *= e
+    return g, d, neg_sq_d
+
+
+def _gsm_quadrature(xs: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The n x 2 matrix [w cos phi, w sin phi] with phi = 2 pi f x,
+    Fortran-ordered so that BLAS takes it as it is.  The GSM factor
+    w(x) w(x') cos(phi - phi') is its product with the transposed
+    matrix of the other set."""
+    phase = TWO_PI * f * xs
+    q = np.empty((2, len(xs))).T
+    np.multiply(w, np.cos(phase), out=q[:, 0])
+    np.multiply(w, np.sin(phase), out=q[:, 1])
+    return q
+
+
+def _gsm_from_terms(g: np.ndarray, qx: np.ndarray, qy: np.ndarray, out=None) -> np.ndarray:
+    """G o (qx qy^T): the GSM matrix from its Gibbs matrix and the
+    ``_gsm_quadrature`` matrices of the two sets.  ``out``, if given, is
+    a C-ordered array shaped like g that receives the matrix."""
+    k = _outer(qx, qy, out=out)
+    k *= g
+    return k
+
+
+def gsm_cov(xs, ys, lat_x: PointwiseLatents, lat_y: PointwiseLatents) -> np.ndarray:
+    """Generalized spectral mixture matrix (single component).
+
+    k(x, x') = w(x) w(x') G(x, x'; lambda) cos(2 pi (f(x) x - f(x') x')),
+    G the unit-variance Gibbs kernel, with the cosine of the phase
+    difference expanded into a rank-two product, so no trigonometric
+    function is evaluated per matrix entry.  xs and ys are float arrays.
+    """
+    g = _gibbs_terms(-((xs[:, None] - ys[None, :]) ** 2), lat_x.lam, lat_y.lam)[0]
+    return _gsm_from_terms(g, _gsm_quadrature(xs, lat_x.w, lat_x.f),
+                           _gsm_quadrature(ys, lat_y.w, lat_y.f))
 
 
 @dataclass(frozen=True)
@@ -120,18 +212,23 @@ def _latent_map(theta: float, x_l: np.ndarray, xq) -> np.ndarray:
     return _lapack.solve_triangular(fac, k_lq, lower=True).T
 
 
-def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
-    """Transformed latent function at query points: the noise-free GP
-    posterior mean given the latent's values at x_l, then the output
-    transform."""
-    dev = _latent_map(spec.se.theta, spec.x_l, xq) @ spec.v
+def _transformed(spec: LatentFunctionSpec, dev: np.ndarray) -> np.ndarray:
+    """The latent's output where the unit-variance map of v is ``dev``."""
     u = spec.mean + math.sqrt(spec.se.sigma2) * dev
     return np.exp(u) if spec.transform == "log" else spec.scale * _lapack.expit(u)
 
 
+def latent_eval(spec: LatentFunctionSpec, xq) -> np.ndarray:
+    """Transformed latent function at query points: the noise-free GP
+    posterior mean given the latent's values at x_l, then the output
+    transform."""
+    return _transformed(spec, _latent_map(spec.se.theta, spec.x_l, xq) @ spec.v)
+
+
 @dataclass(frozen=True)
 class GsmModel:
-    """Fitted GSM: three latent functions plus white measurement noise."""
+    """Fitted GSM: three latent functions plus white measurement noise.
+    The latents share their locations and SE lengthscale: one prior."""
 
     w: LatentFunctionSpec
     lam: LatentFunctionSpec
@@ -144,13 +241,18 @@ class GsmModel:
         # _GsmObjective always maps w and lambda by exp and f by the logit
         if (self.w.transform, self.lam.transform, self.f.transform) != ("log", "log", "logit"):
             raise ValueError("latent transforms must be log (w, lambda) and logit (f)")
+        for spec in (self.lam, self.f):
+            if not np.array_equal(spec.x_l, self.w.x_l) or spec.se.theta != self.w.se.theta:
+                raise ValueError("the latents must share their locations and lengthscale")
 
     @property
     def noise(self) -> NoiseParams:
         return NoiseParams("white", self.noise_sigma2)
 
     def latents_at(self, xq) -> PointwiseLatents:
-        return PointwiseLatents(*(latent_eval(s, xq) for s in (self.w, self.lam, self.f)))
+        shared = _latent_map(self.w.se.theta, self.w.x_l, xq)
+        return PointwiseLatents(*(_transformed(s, shared @ s.v)
+                                  for s in (self.w, self.lam, self.f)))
 
     def cov_matrix(self, xs, ys=None) -> np.ndarray:
         lat_x = self.latents_at(xs)
@@ -172,11 +274,11 @@ class _GsmObjective:
     The vector is a model's own state: pack and unpack only slice, log
     and exponentiate, so pack(unpack(x)), the only round trip a model
     makes, returns the four log-variance coordinates within an ulp, not
-    bitwise.  Every latent keeps model0's SE lengthscale, so
+    bitwise.  The latents share model0's locations and SE lengthscale, so
     the latent at the data abscissas is u_h = mean_h + sqrt(sigma_h^2)
-    B_h v_h with the constant map B_h = K_xL L^-T of the unit-variance
-    prior (``_latent_map``), built once.  No latent prior is factored or
-    solved during an evaluation.
+    B v_h with one constant map B = K_xL L^-T of the unit-variance prior
+    (``_latent_map``), built once.  No latent prior is factored or solved
+    during an evaluation.
 
     With phi = 2 pi f(x) x, wc = w cos phi and ws = w sin phi, the
     profile covariance is K = G o ([wc ws] [wc ws]^T) (o elementwise,
@@ -190,7 +292,7 @@ class _GsmObjective:
         s_lam = s_w / 2 + lam^2 rowsum(M o K o (2 sq/d - 1) / d),
 
     with sq the squared lags and d = lam(x)^2 + lam(x')^2.  The v_h
-    gradient is sqrt(sigma_h^2) B_h^T s_h - v_h, the log sigma_h^2
+    gradient is sqrt(sigma_h^2) B^T s_h - v_h, the log sigma_h^2
     gradient s_h (u_h - mean_h) / 2, and the log noise variance gets
     sigma_n^2 (alpha^T alpha - tr A^-1) / 2.
 
@@ -210,14 +312,10 @@ class _GsmObjective:
         self.xa = dataset.xa
         self.za = dataset.za
         self.p = model0.w.n
-        if not (model0.lam.n == self.p and model0.f.n == self.p):
-            raise ValueError("latent functions must have equally many locations")
         n = len(self.xa)
         self.neg_sq = -((self.xa[:, None] - self.xa[None, :]) ** 2)
         self.specs0 = (model0.w, model0.lam, model0.f)
-        # B_h, stacked 3 x n x p
-        self.maps = np.stack([_latent_map(spec.se.theta, spec.x_l, self.xa)
-                              for spec in self.specs0])
+        self.map = _latent_map(model0.w.se.theta, model0.w.x_l, self.xa)  # B, n x p
         self.means = np.array([[spec.mean] for spec in self.specs0])
         # G (then N o G), d, -sq/d, A (K plus noise; K alone once
         # factored, then N o K / d and N o K o (-sq/d) / d) and a scratch
@@ -252,8 +350,9 @@ class _GsmObjective:
         return GsmModel(w=w, lam=lam, f=f, noise_sigma2=sigma_n2)
 
     def _deviations(self, vs, scales):
-        """u_h(xa) - mean_h = sqrt(sigma_h^2) B_h v_h, one row per latent."""
-        return scales[:, None] * (self.maps @ vs[:, :, None])[:, :, 0]
+        """u_h(xa) - mean_h = sqrt(sigma_h^2) B v_h, one row per latent,
+        by one matvec each: a gemm over all three would round differently."""
+        return scales[:, None] * np.stack([self.map @ v for v in vs])
 
     def __call__(self, raw: np.ndarray):
         # _evaluate rejects variances that under- or overflow; the guard
@@ -315,7 +414,7 @@ class _GsmObjective:
         ])
 
         grad = np.empty_like(raw)
-        grad[: 3 * p] = (scales[:, None] * (sens[:, None, :] @ self.maps)[:, 0, :] - vs).ravel()
+        grad[: 3 * p] = (scales[:, None] * np.stack([s @ self.map for s in sens]) - vs).ravel()
         grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - tr_inv)
         # u_h - mean_h scales as sqrt(sigma_h^2): du = (u_h - mean_h) / 2
         grad[3 * p + 1 :] = 0.5 * np.einsum("hn,hn->h", sens, devs)
@@ -326,7 +425,7 @@ def fit_gsm(profile: Profile, model0: GsmModel,
             config: OptConfig = OptConfig()):
     """Maximize the GSM posterior from ``model0`` over the latents'
     whitened coordinates, the noise variance and the latent variances;
-    every latent keeps model0's lengthscale.
+    the latents keep model0's shared lengthscale.
 
     Returns ``(model, trace)``.  Objective values are comparable only
     within one dataset (the posterior is defined up to a constant).

@@ -1,12 +1,11 @@
-"""Covariance kernels for surface-profile GPs.
+"""Stationary covariance kernels for surface-profile GPs.
 
 All kernels are strictly real-valued.  Positions are mm, heights um,
 so variances are um^2, frequencies 1/mm, frequency variances 1/mm^2.
 
-Same-set covariance matrices are bitwise symmetric.  Stationary ones
-are built from the absolute lag (IEEE negation is exact and every
-factor is an even function of the lag); the Gibbs and GSM ones from
-sums and products of a point's and its partner's values, which commute.
+Same-set covariance matrices are bitwise symmetric: they are built from
+the absolute lag (IEEE negation is exact and every factor is an even
+function of the lag).  The non-stationary GSM kernel lives in ``gsm``.
 
 Hyperparameter gradients are taken with respect to the unconstrained
 log-space representation used by the optimizer; ``raw_vector`` /
@@ -18,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import _lapack
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,27 +106,6 @@ class NoiseParams:
             raise ValueError("colored noise needs a positive correlation length")
 
 
-@dataclass(frozen=True)
-class PointwiseLatents:
-    """GSM latent functions evaluated at a set of points."""
-
-    w: np.ndarray
-    lam: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        f = np.atleast_1d(np.asarray(self.f, dtype=float))
-        if not (len(w) == len(lam) == len(f)):
-            raise ValueError("latent value arrays must share a length")
-        if not np.all(w > 0) or not np.all(lam > 0) or np.any(f < 0):
-            raise ValueError("latents need w > 0, lambda > 0, f >= 0")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "f", f)
-
-
 # ---------------------------------------------------------------------------
 # matrix builders
 
@@ -207,93 +183,6 @@ def grad_on_lags(kernel, index: int, t: np.ndarray) -> np.ndarray:
     No library code calls it; the benchmark's tracer (``bench/tracing.py``)
     looks it up by name."""
     return terms_on_lags(kernel, t)[1][index]
-
-
-def _outer(u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-    """u v^T for column stacks u (n x k) and v (m x k), k small, by one
-    BLAS gemm; ``out``, if given, is a C-ordered n x m array that
-    receives it.
-
-    Each entry sums the same k products in the same order whichever
-    side of the diagonal it is on, so u u^T is bitwise symmetric; with
-    k = 1, or with one factor of every product exactly 1, it equals the
-    ``ufunc.outer`` result.  At n = 174 ufunc.outer, which runs one
-    inner loop per row, takes about four times as long, and numpy's
-    u @ u.T, which goes to syrk plus a triangle copy, about twice.
-    """
-    if out is not None and not out.flags.c_contiguous:
-        # the wrapper would write into a copy and leave out as it was
-        raise ValueError("out must be a C-contiguous array")
-    if len(u) == 0 or len(v) == 0:  # the wrapper rejects empty operands
-        return np.empty((len(u), len(v))) if out is None else out
-    return _lapack.dgemm(1.0, v, u, trans_b=1, c=None if out is None else out.T,
-                         overwrite_c=1).T
-
-
-def _gibbs_terms(neg_sq: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray, out=None):
-    """Gibbs matrix (unit variance) on negated squared lags ``neg_sq``,
-    with d = lam_x^2 + lam_y^2 and -sq/d, which its lengthscale
-    derivatives reuse; -sq/d is also the exponent.
-
-    ``out``, if given, is four C-ordered arrays shaped like neg_sq that
-    receive G, d, -sq/d and a scratch value; otherwise they are
-    allocated.
-    """
-    g, d, neg_sq_d, e = [np.empty_like(neg_sq) for _ in range(4)] if out is None else out
-    _outer(np.column_stack([lam_x * lam_x, np.ones_like(lam_x)]),
-           np.column_stack([np.ones_like(lam_y), lam_y * lam_y]), out=d)
-    np.divide(neg_sq, d, out=neg_sq_d)
-    _outer((2.0 * lam_x)[:, None], lam_y[:, None], out=g)
-    g /= d
-    np.sqrt(g, out=g)
-    np.exp(neg_sq_d, out=e)
-    g *= e
-    return g, d, neg_sq_d
-
-
-def _gsm_quadrature(xs: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The n x 2 matrix [w cos phi, w sin phi] with phi = 2 pi f x,
-    Fortran-ordered so that BLAS takes it as it is.  The GSM factor
-    w(x) w(x') cos(phi - phi') is its product with the transposed
-    matrix of the other set."""
-    phase = TWO_PI * f * xs
-    q = np.empty((2, len(xs))).T
-    np.multiply(w, np.cos(phase), out=q[:, 0])
-    np.multiply(w, np.sin(phase), out=q[:, 1])
-    return q
-
-
-def _gsm_from_terms(g: np.ndarray, qx: np.ndarray, qy: np.ndarray, out=None) -> np.ndarray:
-    """G o (qx qy^T): the GSM matrix from its Gibbs matrix and the
-    ``_gsm_quadrature`` matrices of the two sets.  ``out``, if given, is
-    a C-ordered array shaped like g that receives the matrix."""
-    k = _outer(qx, qy, out=out)
-    k *= g
-    return k
-
-
-def gibbs_cov(xs, ys, lam_x, lam_y) -> np.ndarray:
-    """Gibbs kernel matrix for pointwise lengthscales (unit variance)."""
-    xs = _as_points(xs)
-    ys = _as_points(ys)
-    lam_x = np.asarray(lam_x, dtype=float)
-    lam_y = np.asarray(lam_y, dtype=float)
-    return _gibbs_terms(-((xs[:, None] - ys[None, :]) ** 2), lam_x, lam_y)[0]
-
-
-def gsm_cov(xs, ys, lat_x: PointwiseLatents, lat_y: PointwiseLatents) -> np.ndarray:
-    """Generalized spectral mixture matrix (single component).
-
-    k(x, x') = w(x) w(x') G(x, x'; lambda) cos(2 pi (f(x) x - f(x') x')),
-    G the unit-variance Gibbs kernel of ``gibbs_cov``, with the cosine of
-    the phase difference expanded into a rank-two product, so no
-    trigonometric function is evaluated per matrix entry.
-    """
-    xs = _as_points(xs)
-    ys = _as_points(ys)
-    return _gsm_from_terms(gibbs_cov(xs, ys, lat_x.lam, lat_y.lam),
-                           _gsm_quadrature(xs, lat_x.w, lat_x.f),
-                           _gsm_quadrature(ys, lat_y.w, lat_y.f))
 
 
 def build_cov(kernel, xs, ys=None) -> np.ndarray:

@@ -28,16 +28,19 @@ from surfimpute import (
 from surfimpute.cli import main
 from surfimpute.experiments import run_chirp_experiment, run_turned_experiment
 from surfimpute.gp import _GridMllObjective, sample_posterior
-from surfimpute.gsm import LatentFunctionSpec, _GsmObjective, _latent_factor
+from surfimpute.gsm import (
+    LatentFunctionSpec,
+    PointwiseLatents,
+    _GsmObjective,
+    _latent_factor,
+    gsm_cov,
+)
 from surfimpute.kernels import (
     NoiseParams,
     PeriodicParams,
-    PointwiseLatents,
     SEParams,
     SMParams,
     build_cov,
-    gibbs_cov,
-    gsm_cov,
     raw_vector,
 )
 from surfimpute.profile import SurfaceDataset, split_dataset
@@ -179,9 +182,10 @@ def test_ac5_kernel_identities_and_psd():
     t0 = time.perf_counter()
     xs = np.linspace(0.0, 1.0, 32)
     theta = 0.17
+    # the GSM kernel with w = 1 and f = 0 is the Gibbs kernel
+    gibbs = PointwiseLatents(np.ones(32), np.full(32, theta), np.zeros(32))
     id_gibbs = float(np.max(np.abs(
-        gibbs_cov(xs, xs, np.full(32, theta), np.full(32, theta))
-        - build_cov(SEParams(1.0, theta), xs))))
+        gsm_cov(xs, xs, gibbs, gibbs) - build_cov(SEParams(1.0, theta), xs))))
     p_sm = SMParams([1.3, 0.6, 2.2], [1.0, 3.5, 0.2], [0.1, 0.04, 0.9])
     id_sm = abs(build_cov(p_sm, [0.37])[0, 0] - float(np.sum(p_sm.weights)))
     p_per = PeriodicParams(10.0, 0.8, 0.1)
@@ -207,8 +211,8 @@ def test_ac5_kernel_identities_and_psd():
                                      rng.uniform(0.0, 20.0, q),
                                      rng.uniform(0.0, 10.0, q)), pts)
         elif family == 3:
-            lam = rng.uniform(0.02, 0.5, n)
-            cov = gibbs_cov(pts, pts, lam, lam)
+            gibbs = PointwiseLatents(np.ones(n), rng.uniform(0.02, 0.5, n), np.zeros(n))
+            cov = gsm_cov(pts, pts, gibbs, gibbs)
         else:
             lat = PointwiseLatents(rng.uniform(0.1, 10.0, n),
                                    rng.uniform(0.02, 0.5, n),

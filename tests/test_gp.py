@@ -890,7 +890,7 @@ def _start_rsm(fit, profile, **prior):
 
 
 @pytest.mark.parametrize("case, fit", [
-    (case, fit) for case in ("one-crossing", "flat", "bad-prior", "huge")
+    (case, fit) for case in ("one-crossing", "flat", "bad-prior", "huge", "tiny")
     for fit in ("sm", "se", "gsm") if (case, fit) != ("bad-prior", "se")  # se takes no prior
 ])
 def test_every_fit_starts_and_refuses_alike(monkeypatch, case, fit):
@@ -898,7 +898,8 @@ def test_every_fit_starts_and_refuses_alike(monkeypatch, case, fit):
     g = make_grid(0.0, 0.01, 40)
     x = g.points()
     wave = np.sin(2 * np.pi * x / 0.1)
-    z = {"one-crossing": x, "flat": np.ones(40), "bad-prior": wave, "huge": 1e160 * wave}
+    z = {"one-crossing": x, "flat": np.ones(40), "bad-prior": wave, "huge": 1e160 * wave,
+         "tiny": 1e-155 * wave}
     profile = Profile(g, z[case], None)
     if case == "one-crossing":  # a ramp has no Rsm: start at a tenth of the span
         assert _start_rsm(fit, profile) == pytest.approx(0.039, rel=1e-12)
@@ -910,6 +911,14 @@ def test_every_fit_starts_and_refuses_alike(monkeypatch, case, fit):
             with pytest.raises(ValueError,
                                match="^Rsm and Rq scales must be positive and finite$"):
                 _start_rsm(fit, profile, init_rq=init_rq)
+        # a prior whose square is subnormal or 0
+        for init_rq in (1e-155, 1e-170):
+            with pytest.raises(ValueError, match="start kernel variance that underflows$"):
+                _start_rsm(fit, profile, init_rq=init_rq)
+    elif case == "tiny":  # Rq^2 is subnormal
+        with pytest.raises(FitFailureError,
+                           match="fit could not start: the height variance underflows$"):
+            _start_rsm(fit, profile)
     else:  # the session turns the overflow's RuntimeWarning into an error
         with pytest.raises(FitFailureError,
                            match="fit could not start: the height variance overflows$"):

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 from scipy.stats import multivariate_normal
 
@@ -28,11 +29,17 @@ from surfimpute import gsm
 from surfimpute.gp import _centered_dataset, _gaussian_core, _inverse_lower, chol_jittered
 from surfimpute.gsm import (
     LatentFunctionSpec,
+    PointwiseLatents,
+    _gibbs_terms,
     _GsmObjective,
+    _gsm_from_terms,
+    _gsm_quadrature,
     _latent_factor,
+    _outer,
+    gsm_cov,
     latent_eval,
 )
-from surfimpute.kernels import SEParams, _gsm_from_terms, _gsm_quadrature, gibbs_cov
+from surfimpute.kernels import SEParams
 from surfimpute.optimize import maximize
 from surfimpute.profile import SurfaceDataset
 from surfimpute.synthesis import (
@@ -42,7 +49,7 @@ from surfimpute.synthesis import (
     simulate_chirp,
 )
 
-from oracles import fd_gradient, log_posterior, refuse_the_second_factorization
+from oracles import fd_gradient, k_gibbs, k_gsm, log_posterior, refuse_the_second_factorization
 
 LATENT_JITTER = 1e-8
 LOG_2PI = math.log(2.0 * math.pi)
@@ -210,6 +217,110 @@ def test_latent_eval_positive_and_below_scale():
 
 
 # ---------------------------------------------------------------------------
+# Gibbs and GSM matrices
+
+
+def test_gibbs_rejects_bad_lengthscale():
+    with pytest.raises(ValueError):
+        PointwiseLatents([1.0], [-0.1], [1.0])
+
+
+def test_outer_equals_ufunc_outer_and_writes_into_out():
+    rng = np.random.default_rng(2024)
+    u, v = rng.uniform(-2.0, 2.0, 7), rng.uniform(-2.0, 2.0, 5)
+    out = np.empty((7, 5))
+    got = _outer(u[:, None], v[:, None], out=out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(out, np.multiply.outer(u, v))
+    # a sum with one factor of each product exactly 1, as d = a_i + b_j
+    got = _outer(np.column_stack([u, np.ones(7)]), np.column_stack([np.ones(5), v]))
+    assert np.array_equal(got, np.add.outer(u, v))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _outer(u[:, None], v[:3, None], out=np.empty((7, 5))[:, :3])
+    # an empty set gives an empty matrix, as ufunc.outer does
+    none = np.zeros(0)
+    lat = PointwiseLatents(np.ones(7), np.full(7, 0.1), np.ones(7))
+    empty = PointwiseLatents(none, none, none)
+    assert _outer(u[:, None], none[:, None]).shape == (7, 0)
+    assert gsm_cov(u, none, lat, empty).shape == (7, 0)
+    assert gsm_cov(none, none, empty, empty).shape == (0, 0)
+
+
+def test_gsm_cov_with_unit_weight_and_zero_frequency_matches_scalar_gibbs():
+    # w = 1 and f = 0 make the rank-two cosine factor exactly 1
+    xs = np.linspace(0.0, 1.0, 9)
+    lam = np.random.default_rng(2025).uniform(0.1, 0.6, 9)
+    lat = PointwiseLatents(np.ones(9), lam, np.zeros(9))
+    m = gsm_cov(xs, xs, lat, lat)
+    for i in range(9):
+        for j in range(9):
+            assert abs(m[i, j] - k_gibbs(xs[i], xs[j], lam[i], lam[j])) < 1e-14
+
+
+def test_gsm_cov_matches_scalar_at_chirp_phases():
+    # the chirp grid: a 0.03 mm span under a 5000/mm Nyquist frequency,
+    # so 2 pi f x reaches several hundred radians
+    rng = np.random.default_rng(88)
+
+    def points_and_latents(n):
+        return np.sort(rng.uniform(0.0, 0.03, n)), PointwiseLatents(
+            rng.uniform(0.5, 2.0, n), rng.uniform(1e-3, 4e-3, n),
+            rng.uniform(1500.0, 4500.0, n))
+
+    xs, lat_x = points_and_latents(15)
+    ys, lat_y = points_and_latents(11)
+    assert 2.0 * np.pi * np.max(lat_x.f * xs) > 300.0
+    for a, la, b, lb in ((xs, lat_x, xs, lat_x), (xs, lat_x, ys, lat_y)):
+        m = gsm_cov(a, b, la, lb)
+        want = np.array([[k_gsm(a[i], b[j], la.w[i], lb.w[j], la.lam[i],
+                                lb.lam[j], la.f[i], lb.f[j])
+                          for j in range(len(b))] for i in range(len(a))])
+        assert np.max(np.abs(m - want) / np.outer(la.w, lb.w)) < 1e-12
+    same = gsm_cov(xs, xs, lat_x, lat_x)
+    assert np.array_equal(same, same.T)
+
+
+def _gsm_grids():
+    """A span, then n unit positions, w, lambda / span and f * span."""
+    return st.tuples(st.floats(1e-3, 10.0), st.integers(2, 40)).flatmap(
+        lambda sn: st.tuples(
+            st.just(sn[0]),
+            *(arrays(float, sn[1], elements=st.floats(lo, hi))
+              for lo, hi in ((0.0, 1.0), (0.1, 10.0), (0.01, 1.0), (0.0, 50.0)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gsm_grids())
+def test_gsm_cov_is_psd_on_random_grids(grid):
+    span, u, w, lam, f = grid
+    lat = PointwiseLatents(w, span * lam, f / span)
+    m = gsm_cov(span * u, span * u, lat, lat)
+    assert np.linalg.eigvalsh(m)[0] >= -1e-10 * np.trace(m)
+
+
+def test_gsm_cov_satisfies_cauchy_schwarz():
+    rng = np.random.default_rng(2026)
+    xs = rng.uniform(-1.0, 1.0, 24)
+    lat = PointwiseLatents(rng.uniform(0.5, 2.0, 24), rng.uniform(0.05, 0.5, 24),
+                           rng.uniform(0.0, 10.0, 24))
+    m = gsm_cov(xs, xs, lat, lat)
+    d = np.sqrt(np.outer(np.diagonal(m), np.diagonal(m)))
+    assert np.all(np.abs(m) <= d + 1e-12)
+
+
+def test_gsm_cov_is_psd_on_seeded_grids():
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        n = int(rng.integers(4, 64))
+        xs = np.sort(rng.uniform(0.0, 3.0, n))
+        lat = PointwiseLatents(rng.uniform(0.5, 2.0, n), rng.uniform(0.05, 0.5, n),
+                               rng.uniform(0.0, 20.0, n))
+        g = gsm_cov(xs, xs, lat, lat)
+        lo = float(np.min(np.linalg.eigvalsh(g)))
+        assert lo >= -1e-8 * float(np.max(np.diagonal(g)))
+
+
+# ---------------------------------------------------------------------------
 # model assembly
 
 
@@ -219,6 +330,45 @@ def test_gsm_model_validation():
         GsmModel(w=m.w, lam=m.lam, f=m.w, noise_sigma2=0.05)
     with pytest.raises(ValueError):
         GsmModel(w=m.w, lam=m.lam, f=m.f, noise_sigma2=-1.0)
+    # the three latents share one prior: its locations and lengthscale
+    moved = replace(m.lam, x_l=m.lam.x_l + 0.01)
+    longer = replace(m.f, se=SEParams(m.f.se.sigma2, 1.5 * m.f.se.theta))
+    for lam, f in ((moved, m.f), (m.lam, longer)):
+        with pytest.raises(ValueError, match="share their locations and lengthscale"):
+            GsmModel(w=m.w, lam=lam, f=f, noise_sigma2=0.05)
+
+
+def test_latents_at_is_latent_eval_of_each_latent():
+    model = chirp_scale_model(seed=37)
+    xq = np.sort(np.random.default_rng(38).uniform(0.0, 0.03, 31))
+    got = model.latents_at(xq)
+    for name in ("w", "lam", "f"):
+        assert same_bits(getattr(got, name), latent_eval(getattr(model, name), xq))
+
+
+def test_one_latent_prior_factor_serves_all_three_latents(monkeypatch):
+    model = small_model(p=6, seed=39)
+    factor, calls = gsm._latent_factor, []
+
+    def counted(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(gsm, "_latent_factor", counted)
+    xa = np.linspace(0.0, 1.0, 15)
+    _GsmObjective(model, dataset_on(xa, np.sin(6.0 * xa)))
+    assert len(calls) == 1
+    calls.clear()
+    model.latents_at(xa)
+    assert len(calls) == 1
+    calls.clear()
+    # the data block, the cross block's two point sets and the gap block
+    valid = np.ones(15, dtype=bool)
+    valid[6:9] = False
+    masked = Profile(make_grid(0.0, 1.0 / 14, 15), np.where(valid, np.sin(6.0 * xa), np.nan),
+                     valid)
+    impute(masked, model, 1)
+    assert len(calls) == 4
 
 
 def test_gsm_model_requires_log_weight_and_lengthscale():
@@ -383,7 +533,7 @@ def full_matrix_objective(obj, raw):
     xa, za = obj.xa, obj.za
     vs, sigma_n2, sigma2s = obj.split(raw)
     scales = np.sqrt(sigma2s)
-    devs = [scale * (b @ v) for scale, b, v in zip(scales, obj.maps, vs)]
+    devs = [scale * (obj.map @ v) for scale, v in zip(scales, vs)]
     us = [spec.mean + dev for spec, dev in zip(obj.specs0, devs)]
     w, lam, s_f = np.exp(us[0]), np.exp(us[1]), expit(us[2])
     f_nyq = obj.model0.f.scale
@@ -412,8 +562,8 @@ def full_matrix_objective(obj, raw):
     ]
     grad = np.empty_like(raw)
     grad[3 * p] = 0.5 * sigma_n2 * (alpha @ alpha - np.trace(inv))
-    for h, (b, s) in enumerate(zip(obj.maps, sens)):
-        grad[h * p : (h + 1) * p] = scales[h] * (b.T @ s) - vs[h]
+    for h, s in enumerate(sens):
+        grad[h * p : (h + 1) * p] = scales[h] * (obj.map.T @ s) - vs[h]
         grad[3 * p + 1 + h] = 0.5 * s @ devs[h]
     return float(value), grad
 
@@ -482,7 +632,7 @@ def test_gsm_from_terms_is_bitwise_symmetric_on_the_same_set(n, seed):
     rng = np.random.default_rng(seed)
     xs = np.sort(rng.uniform(0.0, 0.03, n))
     lam = rng.uniform(1e-4, 4e-3, n)
-    g = gibbs_cov(xs, xs, lam, lam)
+    g = _gibbs_terms(-((xs[:, None] - xs[None, :]) ** 2), lam, lam)[0]
     q = _gsm_quadrature(xs, rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 5000.0, n))
     k = _gsm_from_terms(g, q, q)
     assert np.array_equal(g, g.T)
@@ -614,8 +764,9 @@ def test_fit_gsm_ascent_from_generating_parameters():
 
 def test_fit_gsm_keeps_every_latent_lengthscale():
     gen = small_model(p=4, seed=17, noise=0.05)
-    gen = replace(gen, lam=replace(gen.lam, se=SEParams(0.5, 0.21)),
-                  f=replace(gen.f, se=SEParams(2.0, 0.37)))
+    theta = gen.w.se.theta  # the latents share one lengthscale
+    gen = replace(gen, lam=replace(gen.lam, se=SEParams(0.5, theta)),
+                  f=replace(gen.f, se=SEParams(2.0, theta)))
     profile = gsm_draw_profile(gen, 36, seed=18)
     model, _ = fit_gsm(profile, gen, OptConfig(max_iterations=20))
     for fitted, start in ((model.w, gen.w), (model.lam, gen.lam),

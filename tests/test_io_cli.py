@@ -602,6 +602,25 @@ def test_cli_fit_from_a_non_finite_start_is_a_fit_failure(tmp_path):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("amplitude", [1e-170, 1e-155])
+def test_cli_fit_on_heights_whose_variance_underflows_is_a_fit_failure(tmp_path, amplitude):
+    # Rq^2 underflows to 0 (1e-170) or to a subnormal (1e-155): no start
+    # kernel has a normal variance, for every model alike
+    x = 0.0025 * np.arange(40)
+    valid = np.ones(40, dtype=bool)
+    valid[18:22] = False
+    z = np.where(valid, amplitude * np.sin(2.0 * np.pi * x / 0.1), np.nan)
+    src = tmp_path / "tiny.csv"
+    write_profile_csv(profile_from_arrays(x, z, valid), src)
+    out = tmp_path / "o.csv"
+    for model, fit in (("se", "GP"), ("sm", "GP"), ("gsm", "GSM")):
+        code, stderr = run_main(["impute", "--model", model, "--seed", "1",
+                                 "--in", str(src), "--out", str(out)])
+        assert code == 1, model
+        assert stderr == f"error: {fit} fit could not start: the height variance underflows\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["sm", "gsm"])
 def test_cli_nonfinite_stop_warns_and_writes_the_trace(tmp_path, monkeypatch, model):
     # the first step of the first run is refused: the fit keeps its start,
@@ -892,6 +911,9 @@ def test_cli_plot_refuses_a_band_off_the_masked_positions(tmp_path):
     (["impute", "--model", "sm", "--seed", "1", "--q", "1", "--init-rsm", "1e-300"], None, 2),
     (["impute", "--model", "sm", "--seed", "1", "--init-rq", "inf"], None, 2),
     (["impute", "--model", "gsm", "--seed", "1", "--init-rq", "inf"], None, 2),
+    # a prior whose square underflows gives no normal start variance
+    (["impute", "--model", "sm", "--seed", "1", "--init-rq", "1e-160"], None, 2),
+    (["impute", "--model", "gsm", "--seed", "1", "--init-rq", "1e-160"], None, 2),
     (["impute", "--model", "gsm", "--seed", "1", "--wavelength-left", "1e-320"], None, 2),
     (["impute", "--model", "gsm", "--seed", "1", "--n-latent", "1"], None, 2),
     (["impute", "--model", "medfilt", "--window", "4"], None, 2),
@@ -906,7 +928,8 @@ def test_cli_plot_refuses_a_band_off_the_masked_positions(tmp_path):
     (["simulate", "--kind", "turned", "--seed", "1"], "sigma2 = -1", 1),
     (["simulate", "--kind", "chirp", "--seed", "1"], "n = 0", 1),
 ], ids=["max-iterations", "max-iterations-absent-input", "q", "restarts", "init-rsm",
-        "init-rsm-tiny", "init-rq-inf", "gsm-init-rq-inf", "gsm-wavelength-tiny", "n-latent",
+        "init-rsm-tiny", "init-rq-inf", "gsm-init-rq-inf", "init-rq-tiny", "gsm-init-rq-tiny",
+        "gsm-wavelength-tiny", "n-latent",
         "window", "power", "power-nan", "power-inf", "radius-nan", "radius-zero", "count",
         "volume-threshold-nan", "threshold", "sim-sigma2", "sim-n"])
 def test_cli_rejected_values_exit_without_a_traceback(tmp_path, argv, config, code):

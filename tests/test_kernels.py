@@ -12,13 +12,9 @@ from hypothesis.extra.numpy import arrays
 from surfimpute.kernels import (
     NoiseParams,
     PeriodicParams,
-    PointwiseLatents,
     SEParams,
     SMParams,
-    _outer,
     build_cov,
-    gibbs_cov,
-    gsm_cov,
     n_params,
     raw_vector,
     terms_on_lags,
@@ -111,11 +107,6 @@ def test_gsm_values():
         assert abs(got - want) < 1e-12
 
 
-def test_gibbs_rejects_bad_lengthscale():
-    with pytest.raises(ValueError):
-        PointwiseLatents([1.0], [-0.1], [1.0])
-
-
 # ---------------------------------------------------------------------------
 # matrix builders
 
@@ -168,13 +159,7 @@ def test_stationary_translation_invariance():
 
 def test_cauchy_schwarz():
     xs = RNG.uniform(-1.0, 1.0, 24)
-    lat = PointwiseLatents(
-        RNG.uniform(0.5, 2.0, 24), RNG.uniform(0.05, 0.5, 24),
-        RNG.uniform(0.0, 10.0, 24)
-    )
-    mats = [build_cov(k, xs) for k in ALL_STATIONARY]
-    mats.append(gsm_cov(xs, xs, lat, lat))
-    for m in mats:
+    for m in (build_cov(k, xs) for k in ALL_STATIONARY):
         d = np.sqrt(np.outer(np.diagonal(m), np.diagonal(m)))
         assert np.all(np.abs(m) <= d + 1e-12)
 
@@ -192,83 +177,6 @@ def test_psd_on_random_grids():
             m = build_cov(kernel, xs)
             lo = float(np.min(np.linalg.eigvalsh(m)))
             assert lo >= -1e-8 * float(np.max(np.diagonal(m)))
-        lat = PointwiseLatents(
-            rng.uniform(0.5, 2.0, n), rng.uniform(0.05, 0.5, n),
-            rng.uniform(0.0, 20.0, n)
-        )
-        g = gsm_cov(xs, xs, lat, lat)
-        lo = float(np.min(np.linalg.eigvalsh(g)))
-        assert lo >= -1e-8 * float(np.max(np.diagonal(g)))
-
-
-def test_outer_equals_ufunc_outer_and_writes_into_out():
-    u, v = RNG.uniform(-2.0, 2.0, 7), RNG.uniform(-2.0, 2.0, 5)
-    out = np.empty((7, 5))
-    got = _outer(u[:, None], v[:, None], out=out)
-    assert np.shares_memory(got, out)
-    assert np.array_equal(out, np.multiply.outer(u, v))
-    # a sum with one factor of each product exactly 1, as d = a_i + b_j
-    got = _outer(np.column_stack([u, np.ones(7)]), np.column_stack([np.ones(5), v]))
-    assert np.array_equal(got, np.add.outer(u, v))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _outer(u[:, None], v[:3, None], out=np.empty((7, 5))[:, :3])
-    # an empty set gives an empty matrix, as ufunc.outer does
-    none = np.zeros(0)
-    lat = PointwiseLatents(np.ones(7), np.full(7, 0.1), np.ones(7))
-    empty = PointwiseLatents(none, none, none)
-    assert _outer(u[:, None], none[:, None]).shape == (7, 0)
-    assert gsm_cov(u, none, lat, empty).shape == (7, 0)
-    assert gsm_cov(none, none, empty, empty).shape == (0, 0)
-
-
-def test_gibbs_cov_matches_scalar():
-    xs = np.linspace(0.0, 1.0, 9)
-    lam = RNG.uniform(0.1, 0.6, 9)
-    m = gibbs_cov(xs, xs, lam, lam)
-    for i in range(9):
-        for j in range(9):
-            assert abs(m[i, j] - k_gibbs(xs[i], xs[j], lam[i], lam[j])) < 1e-14
-
-
-def test_gsm_cov_matches_scalar_at_chirp_phases():
-    # the chirp grid: a 0.03 mm span under a 5000/mm Nyquist frequency,
-    # so 2 pi f x reaches several hundred radians
-    rng = np.random.default_rng(88)
-
-    def points_and_latents(n):
-        return np.sort(rng.uniform(0.0, 0.03, n)), PointwiseLatents(
-            rng.uniform(0.5, 2.0, n), rng.uniform(1e-3, 4e-3, n),
-            rng.uniform(1500.0, 4500.0, n))
-
-    xs, lat_x = points_and_latents(15)
-    ys, lat_y = points_and_latents(11)
-    assert 2.0 * np.pi * np.max(lat_x.f * xs) > 300.0
-    for a, la, b, lb in ((xs, lat_x, xs, lat_x), (xs, lat_x, ys, lat_y)):
-        m = gsm_cov(a, b, la, lb)
-        want = np.array([[k_gsm(a[i], b[j], la.w[i], lb.w[j], la.lam[i],
-                                lb.lam[j], la.f[i], lb.f[j])
-                          for j in range(len(b))] for i in range(len(a))])
-        assert np.max(np.abs(m - want) / np.outer(la.w, lb.w)) < 1e-12
-    same = gsm_cov(xs, xs, lat_x, lat_x)
-    assert np.array_equal(same, same.T)
-
-
-def _gsm_grids():
-    """A span, then n unit positions, w, lambda / span and f * span."""
-    return st.tuples(st.floats(1e-3, 10.0), st.integers(2, 40)).flatmap(
-        lambda sn: st.tuples(
-            st.just(sn[0]),
-            *(arrays(float, sn[1], elements=st.floats(lo, hi))
-              for lo, hi in ((0.0, 1.0), (0.1, 10.0), (0.01, 1.0), (0.0, 50.0)))))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_gsm_grids())
-def test_gsm_cov_is_psd_on_random_grids(grid):
-    span, u, w, lam, f = grid
-    lat = PointwiseLatents(w, span * lam, f / span)
-    m = gsm_cov(span * u, span * u, lat, lat)
-    assert np.linalg.eigvalsh(m)[0] >= -1e-10 * np.trace(m)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from surfimpute import (
     EmptyDatasetError,
+    FitFailureError,
     Grid1D,
     NoProfileElementsError,
     Profile,
@@ -217,11 +218,13 @@ def test_rq_shift_invariant():
 
 def test_rq_of_deviations_whose_squares_underflow():
     # every square of 1e-170 * sin underflows to 0; the heights differ,
-    # so Rq is that of the sine and no fit refuses the profile as flat
+    # so Rq is that of the sine and no fit refuses the profile as flat,
+    # but Rq^2, a start kernel's variance, underflows too
     grid = make_grid(0.0, 0.0025, 40)  # one whole period of 0.1 mm
     tiny = Profile(grid, 1e-170 * np.sin(2.0 * np.pi * grid.points() / 0.1), None)
     assert abs(rq(tiny) - 1e-170 / math.sqrt(2.0)) <= 1e-12 * 1e-170 / math.sqrt(2.0)
-    assert gp._start_scales(tiny, "SE")[1] == rq(tiny)
+    with pytest.raises(FitFailureError, match="the height variance underflows$"):
+        gp._start_scales(tiny, "SE")
     flat = Profile(grid, np.full(40, 1e-170), None)
     assert rq(flat) == 0.0
     with pytest.raises(NoProfileElementsError, match="flat"):
